@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "pathrouting/obs/bench_record.hpp"
 #include "pathrouting/obs/export.hpp"
@@ -66,6 +67,10 @@ class BenchJson {
   obs::BenchRecord& add_record() {
     file_.records.emplace_back();
     return file_.records.back();
+  }
+
+  [[nodiscard]] const std::vector<obs::BenchRecord>& records() const {
+    return file_.records;
   }
 
   void write() {

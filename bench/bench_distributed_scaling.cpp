@@ -41,12 +41,8 @@ const char* const kRegimes[] = {"minimal", "knee", "unbounded"};
 parallel::ScalingPoint run_point(const parallel::ScalingSpec& spec,
                                  bench::BenchJson& json,
                                  std::vector<parallel::ScalingPoint>& out) {
-  const bench::Stopwatch sw;
   const parallel::ScalingPoint point = parallel::run_scaling_point(spec);
-  const double seconds = sw.seconds();
-  obs::BenchRecord& rec = json.add_record();
-  parallel::fill_scaling_record(point, rec);
-  rec.set("seconds", seconds);
+  parallel::fill_scaling_record(point, json.add_record());
   out.push_back(point);
   return point;
 }

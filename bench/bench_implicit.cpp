@@ -35,6 +35,7 @@
 #include "pathrouting/cdag/subcomputation.hpp"
 #include "pathrouting/obs/obs.hpp"
 #include "pathrouting/routing/memo_routing.hpp"
+#include "pathrouting/routing/routing_point.hpp"
 #include "pathrouting/support/table.hpp"
 
 namespace {
@@ -93,54 +94,17 @@ ImplicitRun run_explicit(const routing::MemoRoutingEngine& engine,
 }
 
 bool bit_identical(const ImplicitRun& a, const ImplicitRun& b) {
-  bool same = a.l3.num_paths == b.l3.num_paths &&
-              a.l3.max_hits == b.l3.max_hits && a.l3.bound == b.l3.bound &&
-              a.l3.argmax == b.l3.argmax && a.l4 == b.l4 &&
-              a.t2.num_paths == b.t2.num_paths &&
-              a.t2.max_vertex_hits == b.t2.max_vertex_hits &&
-              a.t2.argmax_vertex == b.t2.argmax_vertex &&
-              a.t2.max_meta_hits == b.t2.max_meta_hits &&
-              a.t2.bound == b.t2.bound &&
-              a.t2.root_hit_property == b.t2.root_hit_property &&
-              a.decode.has_value() == b.decode.has_value();
-  if (same && a.decode) {
-    same = a.decode->num_paths == b.decode->num_paths &&
-           a.decode->max_hits == b.decode->max_hits &&
-           a.decode->bound == b.decode->bound &&
-           a.decode->argmax == b.decode->argmax;
-  }
-  return same;
+  return a.l3 == b.l3 && a.l4 == b.l4 && a.t2 == b.t2 && a.decode == b.decode;
 }
 
 void add_records(bench::BenchJson& json, const std::string& name, int k,
                  const ImplicitRun& run) {
-  json.add_record()
-      .set("experiment", "chain_routing")
-      .set("algorithm", name)
-      .set("k", k)
-      .set("engine", routing::engine_name(routing::EngineKind::kImplicit))
-      .set("chains", run.l3.num_paths)
-      .set("l3_max_hits", run.l3.max_hits)
-      .set("l3_bound", run.l3.bound)
-      .set("l4_exact", run.l4)
-      .set("t2_max_vertex_hits", run.t2.max_vertex_hits)
-      .set("t2_max_meta_hits", run.t2.max_meta_hits)
-      .set("t2_bound", run.t2.bound)
-      .set("ok", run.l3.ok() && run.l4 && run.t2.ok())
-      .set("seconds", run.chain_secs)
-      .set("max_rss_bytes", obs::max_rss_bytes());
+  const routing::RoutingSpec spec{name, k, routing::EngineKind::kImplicit};
+  routing::fill_chain_record({spec, run.l3, run.l4, run.t2, {}, run.chain_secs},
+                             json.add_record());
   if (run.decode) {
-    json.add_record()
-        .set("experiment", "decode_routing")
-        .set("algorithm", name)
-        .set("k", k)
-        .set("engine", routing::engine_name(routing::EngineKind::kImplicit))
-        .set("paths", run.decode->num_paths)
-        .set("max_hits", run.decode->max_hits)
-        .set("bound", run.decode->bound)
-        .set("ok", run.decode->ok())
-        .set("seconds", run.decode_secs)
-        .set("max_rss_bytes", obs::max_rss_bytes());
+    routing::fill_decode_record({spec, *run.decode, {}, run.decode_secs},
+                                json.add_record());
   }
 }
 

@@ -5,10 +5,13 @@
 //   E4 (Lemma 4):   every chain reused exactly 3 n0^k times.
 //   E5 (Claim 1):   |D_1| * max(a,b)^k-routing in the decoding graph.
 //
-// The brute engine enumerates every path (the oracle); the memoized
-// engine (routing/memo_routing.hpp) fills the same hit arrays from the
-// closed forms on a canonical G_k copy. Where both engines run, the
-// full per-vertex arrays are compared bit for bit and the memo record
+// Every (algorithm, k, engine) point runs and is recorded through
+// routing/routing_point.hpp — the triple pr_bench_gate re-runs
+// against the committed BENCH_routing_memo.json. The brute engine
+// enumerates every path (the oracle); the memoized engine
+// (routing/memo_routing.hpp) fills the same hit arrays from the closed
+// forms on a canonical G_k copy. Where both engines run, the full
+// per-vertex arrays are compared bit for bit and the memo record
 // carries counts_bit_identical plus the measured speedup. Any
 // divergence or bound violation makes the bench exit nonzero, so CI
 // can run it as a perf smoke test (--engine=memo --kmax=N under
@@ -30,17 +33,15 @@
 #include <iostream>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "pathrouting/bilinear/analysis.hpp"
-#include "pathrouting/cdag/implicit.hpp"
-#include "pathrouting/obs/export.hpp"
-#include "pathrouting/obs/obs.hpp"
 #include "pathrouting/bilinear/catalog.hpp"
-#include "pathrouting/routing/concat_routing.hpp"
-#include "pathrouting/routing/decode_routing.hpp"
-#include "pathrouting/routing/memo_routing.hpp"
+#include "pathrouting/cdag/layout.hpp"
+#include "pathrouting/obs/export.hpp"
+#include "pathrouting/routing/routing_point.hpp"
 #include "pathrouting/support/table.hpp"
 
 namespace {
@@ -145,9 +146,66 @@ void add_catalog_cases(std::vector<Case>& cases, int kmax,
   }
 }
 
-bool hits_equal(const std::vector<std::uint64_t>& a,
-                const std::vector<std::uint64_t>& b) {
-  return a == b;
+/// Hit arrays are compared only where both engines materialize them
+/// (the implicit engine never does).
+bool same_hits(const std::vector<std::uint64_t>& a,
+               const std::vector<std::uint64_t>& b) {
+  return a.empty() || b.empty() || a == b;
+}
+
+bool same_chain(const routing::ChainPoint& a, const routing::ChainPoint& b) {
+  return same_hits(a.counts.hits, b.counts.hits) && a.l3 == b.l3 &&
+         a.l4 == b.l4 && a.t2 == b.t2;
+}
+
+bool same_decode(const routing::DecodePoint& a,
+                 const routing::DecodePoint& b) {
+  return same_hits(a.hits, b.hits) && a.stats == b.stats;
+}
+
+/// One k of a case: each engine's point, run when k is within its cap.
+template <class Point>
+struct EnginePoints {
+  std::optional<Point> brute, memo, implicit;
+
+  EnginePoints(const ActiveCase& c, int k,
+               Point (*run)(const routing::RoutingSpec&)) {
+    if (k <= c.kmax_brute) {
+      brute = run({c.name, k, routing::EngineKind::kBrute});
+    }
+    if (k <= c.kmax_memo) memo = run({c.name, k, routing::EngineKind::kMemo});
+    if (k <= c.kmax_implicit) {
+      implicit = run({c.name, k, routing::EngineKind::kImplicit});
+    }
+  }
+};
+
+/// Records `point` with its cross-check against `reference` (brute for
+/// memo, memo for implicit): counts_bit_identical plus the speedup.
+/// Returns the table's speedup cell; a divergence fails the bench.
+template <class Point>
+std::string record_point(bench::BenchJson& json, const Point& point,
+                         const std::optional<Point>& reference,
+                         bool identical, bool& failed) {
+  obs::BenchRecord& rec = json.add_record();
+  if constexpr (std::is_same_v<Point, routing::ChainPoint>) {
+    routing::fill_chain_record(point, rec);
+  } else {
+    routing::fill_decode_record(point, rec);
+  }
+  if (!reference.has_value()) return "-";
+  const double speedup =
+      point.seconds > 0 ? reference->seconds / point.seconds : 0.0;
+  rec.set("counts_bit_identical", identical).set("speedup", speedup);
+  if (!identical) {
+    std::fprintf(stderr, "DIVERGENCE: %s k=%d %s %s differ from %s\n",
+                 point.spec.algorithm.c_str(), point.spec.k,
+                 routing::engine_name(point.spec.engine),
+                 rec.text_or("experiment", "").c_str(),
+                 routing::engine_name(reference->spec.engine));
+    failed = true;
+  }
+  return fmt_fixed(speedup, 1) + "x";
 }
 
 }  // namespace
@@ -178,158 +236,28 @@ int main(int argc, char** argv) {
 
   for (const Case& raw : chain_cases) {
     const ActiveCase c = capped(opt, raw);
-    const auto alg = bilinear::by_name(c.name);
-    const routing::ChainRouter router(alg);
-    const routing::MemoRoutingEngine memo(router);
     for (int k = 1; k <= c.kmax(); ++k) {
-      // The implicit engine needs no materialized graph; only the
-      // array-backed engines do.
-      std::optional<cdag::Cdag> graph;
-      std::optional<cdag::SubComputation> sub;
-      if (k <= c.kmax_brute || k <= c.kmax_memo) {
-        graph.emplace(alg, k, cdag::CdagOptions{.with_coefficients = false});
-        sub.emplace(*graph, k, 0);
-      }
-
-      struct ChainRun {
-        routing::ChainHitCounts counts;
-        routing::HitStats l3;
-        bool l4 = false;
-        routing::FullRoutingStats t2;
-        double secs = 0;
-        [[nodiscard]] bool ok() const { return l3.ok() && l4 && t2.ok(); }
+      const EnginePoints<routing::ChainPoint> points(c, k,
+                                                     routing::run_chain_point);
+      const auto emit = [&](const std::optional<routing::ChainPoint>& point,
+                            const std::optional<routing::ChainPoint>& ref) {
+        if (!point.has_value()) return;
+        const routing::ChainPoint& p = *point;
+        const std::string speed = record_point(
+            json, p, ref, ref.has_value() && same_chain(p, *ref), failed);
+        if (!p.ok()) failed = true;
+        table.add_row({c.name, std::to_string(k),
+                       routing::engine_name(p.spec.engine),
+                       fmt_count(p.l3.num_paths), fmt_count(p.l3.max_hits),
+                       fmt_count(p.l3.bound), p.l4 ? "yes" : "NO",
+                       fmt_count(p.t2.max_vertex_hits),
+                       fmt_count(p.t2.max_meta_hits), fmt_count(p.t2.bound),
+                       p.ok() ? "OK" : "VIOLATED", fmt_fixed(p.seconds, 2),
+                       speed});
       };
-      std::optional<ChainRun> brute, memo_run;
-
-      if (k <= c.kmax_brute) {
-        bench::Stopwatch timer;
-        ChainRun run;
-        run.counts = routing::count_chain_hits(router, *sub);
-        run.l3 = routing::chain_stats_from_counts(run.counts, *sub);
-        run.l4 = routing::verify_chain_multiplicities(router, *sub);
-        run.t2 = routing::full_routing_from_chain_counts(*sub, run.counts);
-        run.secs = timer.seconds();
-        brute.emplace(std::move(run));
-      }
-      if (k <= c.kmax_memo) {
-        bench::Stopwatch timer;
-        ChainRun run;
-        run.counts = memo.chain_hits(*sub);
-        run.l3 = routing::chain_stats_from_counts(run.counts, *sub);
-        run.l4 = memo.verify_chain_multiplicities(*sub);
-        run.t2 = routing::full_routing_from_chain_counts(*sub, run.counts);
-        run.secs = timer.seconds();
-        memo_run.emplace(std::move(run));
-      }
-
-      const auto emit = [&](const ChainRun& run, routing::EngineKind kind) {
-        const char* engine = routing::engine_name(kind);
-        auto& rec = json.add_record()
-                        .set("experiment", "chain_routing")
-                        .set("algorithm", c.name)
-                        .set("k", k)
-                        .set("engine", engine)
-                        .set("chains", run.l3.num_paths)
-                        .set("l3_max_hits", run.l3.max_hits)
-                        .set("l3_bound", run.l3.bound)
-                        .set("l4_exact", run.l4)
-                        .set("t2_max_vertex_hits", run.t2.max_vertex_hits)
-                        .set("t2_max_meta_hits", run.t2.max_meta_hits)
-                        .set("t2_bound", run.t2.bound)
-                        .set("ok", run.ok())
-                        .set("seconds", run.secs)
-                        .set("max_rss_bytes", obs::max_rss_bytes());
-        std::string speed = "-";
-        if (kind == routing::EngineKind::kMemo && brute.has_value()) {
-          const bool identical =
-              hits_equal(run.counts.hits, brute->counts.hits) &&
-              run.counts.num_chains == brute->counts.num_chains &&
-              run.counts.max_hits == brute->counts.max_hits &&
-              run.counts.argmax == brute->counts.argmax;
-          const double speedup =
-              run.secs > 0 ? brute->secs / run.secs : 0.0;
-          rec.set("counts_bit_identical", identical).set("speedup", speedup);
-          speed = fmt_fixed(speedup, 1) + "x";
-          if (!identical) {
-            std::fprintf(stderr,
-                         "DIVERGENCE: %s k=%d memo chain counts differ "
-                         "from brute\n",
-                         c.name.c_str(), k);
-            failed = true;
-          }
-        }
-        if (!run.ok()) failed = true;
-        table.add_row({c.name, std::to_string(k), engine,
-                       fmt_count(run.l3.num_paths), fmt_count(run.l3.max_hits),
-                       fmt_count(run.l3.bound), run.l4 ? "yes" : "NO",
-                       fmt_count(run.t2.max_vertex_hits),
-                       fmt_count(run.t2.max_meta_hits),
-                       fmt_count(run.t2.bound), run.ok() ? "OK" : "VIOLATED",
-                       fmt_fixed(run.secs, 2), speed});
-      };
-      if (brute) emit(*brute, routing::EngineKind::kBrute);
-      if (memo_run) emit(*memo_run, routing::EngineKind::kMemo);
-
-      if (k <= c.kmax_implicit) {
-        bench::Stopwatch timer;
-        const cdag::ImplicitCdag iview(alg, k);
-        const routing::HitStats l3 = memo.verify_chain_routing(iview, k, 0);
-        const bool l4 = memo.verify_chain_multiplicities(iview, k, 0);
-        const routing::FullRoutingStats t2 =
-            memo.verify_full_routing(iview, k, 0);
-        const double secs = timer.seconds();
-        const bool run_ok = l3.ok() && l4 && t2.ok();
-        auto& rec = json.add_record()
-                        .set("experiment", "chain_routing")
-                        .set("algorithm", c.name)
-                        .set("k", k)
-                        .set("engine",
-                             routing::engine_name(
-                                 routing::EngineKind::kImplicit))
-                        .set("chains", l3.num_paths)
-                        .set("l3_max_hits", l3.max_hits)
-                        .set("l3_bound", l3.bound)
-                        .set("l4_exact", l4)
-                        .set("t2_max_vertex_hits", t2.max_vertex_hits)
-                        .set("t2_max_meta_hits", t2.max_meta_hits)
-                        .set("t2_bound", t2.bound)
-                        .set("ok", run_ok)
-                        .set("seconds", secs)
-                        .set("max_rss_bytes", obs::max_rss_bytes());
-        std::string speed = "-";
-        if (memo_run.has_value()) {
-          const bool identical =
-              l3.num_paths == memo_run->l3.num_paths &&
-              l3.max_hits == memo_run->l3.max_hits &&
-              l3.bound == memo_run->l3.bound &&
-              l3.argmax == memo_run->l3.argmax && l4 == memo_run->l4 &&
-              t2.num_paths == memo_run->t2.num_paths &&
-              t2.max_vertex_hits == memo_run->t2.max_vertex_hits &&
-              t2.argmax_vertex == memo_run->t2.argmax_vertex &&
-              t2.max_meta_hits == memo_run->t2.max_meta_hits &&
-              t2.bound == memo_run->t2.bound &&
-              t2.root_hit_property == memo_run->t2.root_hit_property;
-          const double speedup = secs > 0 ? memo_run->secs / secs : 0.0;
-          rec.set("counts_bit_identical", identical).set("speedup", speedup);
-          speed = fmt_fixed(speedup, 1) + "x";
-          if (!identical) {
-            std::fprintf(stderr,
-                         "DIVERGENCE: %s k=%d implicit chain stats differ "
-                         "from memo\n",
-                         c.name.c_str(), k);
-            failed = true;
-          }
-        }
-        if (!run_ok) failed = true;
-        table.add_row(
-            {c.name, std::to_string(k),
-             routing::engine_name(routing::EngineKind::kImplicit),
-             fmt_count(l3.num_paths), fmt_count(l3.max_hits),
-             fmt_count(l3.bound), l4 ? "yes" : "NO",
-             fmt_count(t2.max_vertex_hits), fmt_count(t2.max_meta_hits),
-             fmt_count(t2.bound), run_ok ? "OK" : "VIOLATED",
-             fmt_fixed(secs, 2), speed});
-      }
+      emit(points.brute, std::nullopt);
+      emit(points.memo, points.brute);
+      emit(points.implicit, points.memo);
     }
   }
   table.print(std::cout);
@@ -350,143 +278,29 @@ int main(int argc, char** argv) {
 
   for (const Case& raw : decode_cases) {
     const ActiveCase c = capped(opt, raw);
-    const auto alg = bilinear::by_name(c.name);
-    const routing::ChainRouter router(alg);
-    const routing::DecodeRouter decoder(alg);
-    const routing::MemoRoutingEngine memo(router, decoder);
     for (int k = 1; k <= c.kmax(); ++k) {
-      std::optional<cdag::Cdag> graph;
-      std::optional<cdag::SubComputation> sub;
-      if (k <= c.kmax_brute || k <= c.kmax_memo) {
-        graph.emplace(alg, k, cdag::CdagOptions{.with_coefficients = false});
-        sub.emplace(*graph, k, 0);
-      }
-
-      struct DecodeRun {
-        std::vector<std::uint64_t> hits;
-        routing::HitStats stats;
-        double secs = 0;
-      };
-      std::optional<DecodeRun> brute, memo_run;
-
-      if (k <= c.kmax_brute) {
-        bench::Stopwatch timer;
-        DecodeRun run;
-        run.hits = routing::count_decode_hits(decoder, *sub);
-        const auto& layout = graph->layout();
-        run.stats.num_paths = layout.pow_b()(k) * layout.pow_a()(k);
-        run.stats.bound =
-            static_cast<std::uint64_t>(decoder.d1_size()) *
-            std::max(layout.pow_a()(k), layout.pow_b()(k));
-        for (cdag::VertexId v = 0; v < run.hits.size(); ++v) {
-          if (run.hits[v] > run.stats.max_hits) {
-            run.stats.max_hits = run.hits[v];
-            run.stats.argmax = v;
-          }
-        }
-        run.secs = timer.seconds();
-        brute.emplace(std::move(run));
-      }
-      if (k <= c.kmax_memo) {
-        bench::Stopwatch timer;
-        DecodeRun run;
-        run.hits = memo.decode_hits(*sub);
-        run.stats = memo.verify_decode_routing(*sub);
-        run.secs = timer.seconds();
-        memo_run.emplace(std::move(run));
-      }
-
-      const auto emit = [&](const DecodeRun& run, routing::EngineKind kind) {
-        const char* engine = routing::engine_name(kind);
-        auto& rec = json.add_record()
-                        .set("experiment", "decode_routing")
-                        .set("algorithm", c.name)
-                        .set("k", k)
-                        .set("engine", engine)
-                        .set("paths", run.stats.num_paths)
-                        .set("max_hits", run.stats.max_hits)
-                        .set("bound", run.stats.bound)
-                        .set("ok", run.stats.ok())
-                        .set("seconds", run.secs)
-                        .set("max_rss_bytes", obs::max_rss_bytes());
-        std::string speed = "-";
-        if (kind == routing::EngineKind::kMemo && brute.has_value()) {
-          const bool identical = hits_equal(run.hits, brute->hits) &&
-                                 run.stats.max_hits == brute->stats.max_hits &&
-                                 run.stats.argmax == brute->stats.argmax;
-          const double speedup =
-              run.secs > 0 ? brute->secs / run.secs : 0.0;
-          rec.set("counts_bit_identical", identical).set("speedup", speedup);
-          speed = fmt_fixed(speedup, 1) + "x";
-          if (!identical) {
-            std::fprintf(stderr,
-                         "DIVERGENCE: %s k=%d memo decode counts differ "
-                         "from brute\n",
-                         c.name.c_str(), k);
-            failed = true;
-          }
-        }
-        if (!run.stats.ok()) failed = true;
+      const EnginePoints<routing::DecodePoint> points(
+          c, k, routing::run_decode_point);
+      const auto emit = [&](const std::optional<routing::DecodePoint>& point,
+                            const std::optional<routing::DecodePoint>& ref) {
+        if (!point.has_value()) return;
+        const routing::DecodePoint& p = *point;
+        const std::string speed = record_point(
+            json, p, ref, ref.has_value() && same_decode(p, *ref), failed);
+        if (!p.stats.ok()) failed = true;
         claim1.add_row(
-            {c.name, std::to_string(k), engine, fmt_count(run.stats.num_paths),
-             fmt_count(run.stats.max_hits), fmt_count(run.stats.bound),
-             fmt_fixed(static_cast<double>(run.stats.bound) /
-                           static_cast<double>(run.stats.max_hits),
+            {c.name, std::to_string(k), routing::engine_name(p.spec.engine),
+             fmt_count(p.stats.num_paths), fmt_count(p.stats.max_hits),
+             fmt_count(p.stats.bound),
+             fmt_fixed(static_cast<double>(p.stats.bound) /
+                           static_cast<double>(p.stats.max_hits),
                        1),
-             run.stats.ok() ? "OK" : "VIOLATED", fmt_fixed(run.secs, 2),
+             p.stats.ok() ? "OK" : "VIOLATED", fmt_fixed(p.seconds, 2),
              speed});
       };
-      if (brute) emit(*brute, routing::EngineKind::kBrute);
-      if (memo_run) emit(*memo_run, routing::EngineKind::kMemo);
-
-      if (k <= c.kmax_implicit) {
-        bench::Stopwatch timer;
-        const cdag::ImplicitCdag iview(alg, k);
-        const routing::HitStats stats =
-            memo.verify_decode_routing(iview, k, 0);
-        const double secs = timer.seconds();
-        auto& rec = json.add_record()
-                        .set("experiment", "decode_routing")
-                        .set("algorithm", c.name)
-                        .set("k", k)
-                        .set("engine",
-                             routing::engine_name(
-                                 routing::EngineKind::kImplicit))
-                        .set("paths", stats.num_paths)
-                        .set("max_hits", stats.max_hits)
-                        .set("bound", stats.bound)
-                        .set("ok", stats.ok())
-                        .set("seconds", secs)
-                        .set("max_rss_bytes", obs::max_rss_bytes());
-        std::string speed = "-";
-        if (memo_run.has_value()) {
-          const bool identical =
-              stats.num_paths == memo_run->stats.num_paths &&
-              stats.max_hits == memo_run->stats.max_hits &&
-              stats.bound == memo_run->stats.bound &&
-              stats.argmax == memo_run->stats.argmax;
-          const double speedup = secs > 0 ? memo_run->secs / secs : 0.0;
-          rec.set("counts_bit_identical", identical).set("speedup", speedup);
-          speed = fmt_fixed(speedup, 1) + "x";
-          if (!identical) {
-            std::fprintf(stderr,
-                         "DIVERGENCE: %s k=%d implicit decode stats differ "
-                         "from memo\n",
-                         c.name.c_str(), k);
-            failed = true;
-          }
-        }
-        if (!stats.ok()) failed = true;
-        claim1.add_row(
-            {c.name, std::to_string(k),
-             routing::engine_name(routing::EngineKind::kImplicit),
-             fmt_count(stats.num_paths), fmt_count(stats.max_hits),
-             fmt_count(stats.bound),
-             fmt_fixed(static_cast<double>(stats.bound) /
-                           static_cast<double>(stats.max_hits),
-                       1),
-             stats.ok() ? "OK" : "VIOLATED", fmt_fixed(secs, 2), speed});
-      }
+      emit(points.brute, std::nullopt);
+      emit(points.memo, points.brute);
+      emit(points.implicit, points.memo);
     }
   }
   claim1.print(std::cout);

@@ -13,7 +13,8 @@
 //   * an inverted pipeline: searched > local or local > dfs I/O;
 //   * a cost undercutting the root lower bound (unsound bound);
 //   * a certificate the search.certified-optimal audit rule rejects;
-//   * zero certified-optimal instances over the whole matrix.
+//   * zero certified-optimal instances over the whole matrix (the
+//     roll-up's certified_count, search::certified_count).
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -96,7 +97,6 @@ int main(int argc, char** argv) {
   bench::BenchJson json("schedule_search");
   support::Table table({"algorithm", "r", "M", "bfs", "dfs", "local",
                         "searched", "LB", "gap", "proof"});
-  std::uint64_t certified_count = 0;
   bool failed = false;
 
   for (const Instance& inst : kMatrix) {
@@ -105,9 +105,7 @@ int main(int argc, char** argv) {
     spec.r = inst.r;
     spec.m = inst.m;
     spec.node_budget = inst.budget * static_cast<std::uint64_t>(budget_scale);
-    const bench::Stopwatch watch;
     const search::SweepPoint point = search::run_search_point(spec);
-    const double seconds = watch.seconds();
 
     if (point.searched_io > point.local_io ||
         point.local_io > point.dfs_io) {
@@ -138,9 +136,6 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(inst.m));
       failed = true;
     }
-    if (point.certified && point.proof == search::Proof::kBoundMet) {
-      ++certified_count;
-    }
 
     table.add_row({inst.algorithm, std::to_string(inst.r),
                    std::to_string(inst.m), std::to_string(point.bfs_io),
@@ -151,29 +146,23 @@ int main(int argc, char** argv) {
                    std::to_string(point.searched_io - point.lower_bound),
                    search::proof_name(point.proof)});
 
-    obs::BenchRecord& rec = json.add_record();
-    search::fill_search_record(point, rec);
-    rec.set("seconds", seconds);
+    search::fill_search_record(point, json.add_record());
   }
 
   table.print(std::cout);
 
-  const std::uint64_t instances =
-      sizeof(kMatrix) / sizeof(kMatrix[0]);
-  std::printf("\n%llu of %llu instances certified optimal (bound-met)\n",
-              static_cast<unsigned long long>(certified_count),
-              static_cast<unsigned long long>(instances));
-  if (certified_count == 0) {
+  obs::BenchRecord summary;
+  search::fill_search_summary_record(json.records(), summary);
+  json.add_record() = summary;
+  const std::int64_t certified = summary.int_or("certified_count", 0);
+  std::printf("\n%lld of %lld instances certified optimal\n",
+              static_cast<long long>(certified),
+              static_cast<long long>(summary.int_or("instances", 0)));
+  if (certified == 0) {
     std::fprintf(stderr,
                  "FAIL: no certified-optimal instance in the matrix\n");
     failed = true;
   }
-
-  obs::BenchRecord& summary = json.add_record();
-  summary.set("experiment", "schedule_search_summary")
-      .set("engine", "search")
-      .set("instances", instances)
-      .set("certified_count", certified_count);
 
   return failed ? EXIT_FAILURE : EXIT_SUCCESS;
 }

@@ -32,7 +32,6 @@
 #include <unistd.h>
 
 #include "bench_common.hpp"
-#include "pathrouting/obs/obs.hpp"
 #include "pathrouting/service/replay.hpp"
 #include "pathrouting/service/service.hpp"
 #include "pathrouting/support/cli.hpp"
@@ -46,30 +45,6 @@ using support::fmt_fixed;
 
 constexpr double kHitP99LimitUs = 100.0;   // cache-hit p99 budget
 constexpr double kColdMissLimitMs = 50.0;  // strassen k=7 chain, cold
-
-void add_trace_record(bench::BenchJson& json, const char* experiment,
-                      const service::TraceSpec& spec,
-                      const service::ReplayResult& r, int client_threads) {
-  json.add_record()
-      .set("experiment", experiment)
-      .set("engine", "service")
-      .set("seed", spec.seed)
-      .set("client_threads", client_threads)
-      .set("requests", r.requests)
-      .set("unique_keys", r.unique_keys)
-      .set("ok", r.ok)
-      .set("errors", r.errors)
-      .set("cache_hits", r.cache_hits)
-      .set("computed", r.computed)
-      .set("seconds", r.seconds)
-      .set("hit_p50_us", service::percentile_us(r.hit_us, 50))
-      .set("hit_p99_us", service::percentile_us(r.hit_us, 99))
-      .set("miss_p50_us", service::percentile_us(r.miss_us, 50))
-      .set("miss_p99_us", service::percentile_us(r.miss_us, 99))
-      .set("rps", r.seconds > 0 ? static_cast<double>(r.requests) / r.seconds
-                                : 0.0)
-      .set("max_rss_bytes", obs::max_rss_bytes());
-}
 
 }  // namespace
 
@@ -100,36 +75,15 @@ int main(int argc, char** argv) {
   // Phase 1 — cold miss. Fresh service, empty store: the whole request
   // (arena build + implicit chain certification) is on the clock.
   {
-    service::ServiceConfig config;
-    config.store_dir = store_dir + "/cold";
-    service::CertificateService svc(config);
-    const service::Request req{"strassen", 7, service::CertKind::kChain};
-    bench::Stopwatch timer;
-    const service::Response resp = svc.serve(req);
-    const double secs = timer.seconds();
-    const double ms = secs * 1e3;
-    if (!resp.ok) {
-      std::fprintf(stderr, "COLD MISS FAILED: %s\n", resp.error.c_str());
+    const service::ColdMissPoint cold =
+        service::run_cold_miss_point({"strassen", 7});
+    const double ms = cold.seconds * 1e3;
+    if (!cold.response.ok) {
+      std::fprintf(stderr, "COLD MISS FAILED: %s\n",
+                   cold.response.error.c_str());
       failed = true;
     } else {
-      const auto& w = resp.certificate.words;
-      json.add_record()
-          .set("experiment", "service_cold_miss")
-          .set("engine", "service")
-          .set("algorithm", req.algorithm)
-          .set("k", req.k)
-          .set("kind", service::kind_name(req.kind))
-          .set("ok", resp.ok)
-          .set("cached", resp.from_cache)
-          .set("chains", w[service::kChainNumChains])
-          .set("l3_max", w[service::kChainL3MaxHits])
-          .set("l3_bound", w[service::kChainL3Bound])
-          .set("l4", w[service::kChainL4Exact])
-          .set("has_fnv", w[service::kChainHasHitDigest])
-          .set("digest", resp.certificate.payload_digest)
-          .set("cold_us", secs * 1e6)
-          .set("seconds", secs)
-          .set("max_rss_bytes", obs::max_rss_bytes());
+      service::fill_cold_miss_record(cold, json.add_record());
       std::printf("cold miss  strassen k=7 chain: %.2f ms (limit %.0f ms)\n",
                   ms, kColdMissLimitMs);
       if (ms >= kColdMissLimitMs) {
@@ -176,7 +130,8 @@ int main(int argc, char** argv) {
   {
     service::CertificateService svc(config);
     const service::ReplayResult r = service::replay_trace(svc, trace, 1);
-    add_trace_record(json, "service_trace", spec, r, 1);
+    service::fill_replay_record({{"service_trace", spec, 1}, r},
+                                json.add_record());
     add_row("trace (cold store)", 1, r);
     check_clean("service_trace", r);
     const double p99 = service::percentile_us(r.hit_us, 99);
@@ -193,7 +148,8 @@ int main(int argc, char** argv) {
     // full validation, repeats are index probes.
     service::CertificateService svc(config);
     const service::ReplayResult warm = service::replay_trace(svc, trace, 1);
-    add_trace_record(json, "service_warm", spec, warm, 1);
+    service::fill_replay_record({{"service_warm", spec, 1}, warm},
+                                json.add_record());
     add_row("warm (mmap reload)", 1, warm);
     check_clean("service_warm", warm);
     if (warm.computed != 0) {
@@ -208,7 +164,8 @@ int main(int argc, char** argv) {
     for (const int clients : {1, 2, 4, 8}) {
       const service::ReplayResult r =
           service::replay_trace(svc, trace, clients);
-      add_trace_record(json, "service_throughput", spec, r, clients);
+      service::fill_replay_record({{"service_throughput", spec, clients}, r},
+                                  json.add_record());
       add_row("throughput (warm)", clients, r);
       check_clean("service_throughput", r);
     }

@@ -105,6 +105,50 @@ std::int64_t BenchRecord::int_or(std::string_view key,
                                                            : fallback;
 }
 
+std::string RecordReader::text(std::string_view key) {
+  const BenchValue* v = rec_.find(key);
+  if (v == nullptr || v->kind != BenchValue::Kind::kString) {
+    reject(key, v == nullptr ? "missing" : "expected a string");
+    return "";
+  }
+  return v->lexeme;
+}
+
+std::string RecordReader::one_of(std::string_view key,
+                                 const std::vector<std::string>& allowed) {
+  std::string value = text(key);
+  if (ok() && std::find(allowed.begin(), allowed.end(), value) ==
+                  allowed.end()) {
+    std::string why = quote(value) + " is not one of";
+    for (const std::string& a : allowed) why += " " + a;
+    reject(key, why);
+    return allowed.front();
+  }
+  return value;
+}
+
+std::int64_t RecordReader::integer(std::string_view key, std::int64_t min,
+                                   std::int64_t max) {
+  const BenchValue* v = rec_.find(key);
+  if (v == nullptr || v->kind != BenchValue::Kind::kInt ||
+      v->int_value < min || v->int_value > max) {
+    const std::string range =
+        max == INT64_MAX ? ">= " + std::to_string(min)
+                         : "in [" + std::to_string(min) + ", " +
+                               std::to_string(max) + "]";
+    reject(key, v == nullptr ? "missing"
+                             : "expected an integer " + range + ", got " +
+                                   v->json());
+    return min;
+  }
+  return v->int_value;
+}
+
+void RecordReader::reject(std::string_view key, const std::string& why) {
+  if (!error_.empty()) return;
+  error_ = "field " + quote(std::string(key)) + ": " + why;
+}
+
 std::string BenchFile::to_json() const {
   // Byte-compatible with the historical bench_common.hpp writer, so
   // committed baselines and freshly exported files diff cleanly.

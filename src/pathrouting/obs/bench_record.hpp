@@ -110,6 +110,36 @@ class BenchRecord {
   std::vector<std::pair<std::string, BenchValue>> fields_;
 };
 
+/// Reads the spec fields of a baseline record, the input a re-run is
+/// rebuilt from. BENCH files are outside input, so a missing, mistyped
+/// or out-of-range field is not defaulted: the reader keeps a
+/// diagnostic naming the first such field, and the caller rejects the
+/// record when ok() is false. Getters return a harmless placeholder
+/// after an error.
+class RecordReader {
+ public:
+  explicit RecordReader(const BenchRecord& rec) : rec_(rec) {}
+
+  /// A string field that must be present.
+  std::string text(std::string_view key);
+  /// A string field whose value must be one of `allowed`.
+  std::string one_of(std::string_view key,
+                     const std::vector<std::string>& allowed);
+  /// An integer field that must be present and within [min, max].
+  std::int64_t integer(std::string_view key, std::int64_t min = 0,
+                       std::int64_t max = INT64_MAX);
+  /// Rejects `key` for `why` (kept only if no earlier error is pending).
+  void reject(std::string_view key, const std::string& why);
+
+  [[nodiscard]] bool ok() const { return error_.empty(); }
+  /// `field "<key>": <why>`, or empty.
+  [[nodiscard]] const std::string& error() const { return error_; }
+
+ private:
+  const BenchRecord& rec_;
+  std::string error_;
+};
+
 /// A whole BENCH_*.json file.
 struct BenchFile {
   std::string bench;

@@ -1,5 +1,7 @@
 #include "pathrouting/parallel/scaling.hpp"
 
+#include <chrono>
+#include <climits>
 #include <cmath>
 
 #include "pathrouting/bilinear/catalog.hpp"
@@ -111,9 +113,15 @@ std::uint64_t regime_memory(const std::string& regime, std::uint64_t n,
 }
 
 ScalingPoint run_scaling_point(const ScalingSpec& spec) {
-  if (spec.schedule == "summa") return run_summa_point(spec);
-  PR_REQUIRE_MSG(spec.schedule == "caps", "unknown scaling schedule");
-  return run_caps_point(spec);
+  const auto t0 = std::chrono::steady_clock::now();
+  PR_REQUIRE_MSG(spec.schedule == "summa" || spec.schedule == "caps",
+                 "unknown scaling schedule");
+  ScalingPoint point = spec.schedule == "summa" ? run_summa_point(spec)
+                                                : run_caps_point(spec);
+  point.seconds = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+  return point;
 }
 
 void fill_scaling_record(const ScalingPoint& point, obs::BenchRecord& rec) {
@@ -149,22 +157,30 @@ void fill_scaling_record(const ScalingPoint& point, obs::BenchRecord& rec) {
       .set("lb_combined", point.lb_combined)
       .set("model_pmax", point.model_pmax)
       .set("model_bandwidth", point.model_bandwidth)
-      .set("ratio_vs_lb", point.ratio_vs_lb);
+      .set("ratio_vs_lb", point.ratio_vs_lb)
+      .set("seconds", point.seconds);
 }
 
-ScalingSpec scaling_spec_from_record(const obs::BenchRecord& rec) {
+ScalingSpec scaling_spec_from_record(obs::RecordReader& in) {
   ScalingSpec spec;
-  spec.schedule = rec.text_or("schedule", "");
-  spec.algorithm = rec.text_or("base", "");
-  spec.regime = rec.text_or("regime", "");
-  spec.grid = static_cast<std::uint64_t>(rec.int_or("grid", 0));
-  spec.panel = static_cast<std::uint64_t>(rec.int_or("panel", 0));
-  spec.r = static_cast<int>(rec.int_or("r", 0));
-  spec.bfs_levels = static_cast<int>(rec.int_or("bfs_levels", 0));
-  // summa stores its own n; caps re-derives n0^r.
-  spec.n = spec.schedule == "summa"
-               ? static_cast<std::uint64_t>(rec.int_or("n", 0))
-               : 0;
+  spec.schedule = in.one_of("schedule", {"summa", "caps"});
+  spec.regime = in.one_of("regime", {"minimal", "knee", "unbounded"});
+  if (spec.schedule == "summa") {
+    spec.algorithm = in.one_of("base", {"classical"});
+    spec.n = static_cast<std::uint64_t>(in.integer("n", 1));
+    spec.grid = static_cast<std::uint64_t>(in.integer("grid", 1));
+    spec.panel = static_cast<std::uint64_t>(in.integer("panel", 1));
+    if (in.ok() && spec.n % spec.grid != 0) {
+      in.reject("grid", "does not divide n = " + std::to_string(spec.n));
+    } else if (in.ok() && spec.panel > spec.n / spec.grid) {
+      in.reject("panel", "exceeds the block size n / grid");
+    }
+  } else {
+    // caps re-derives n = n0^r from the algorithm.
+    spec.algorithm = in.one_of("base", bilinear::catalog_names());
+    spec.r = static_cast<int>(in.integer("r", 1, INT_MAX));
+    spec.bfs_levels = static_cast<int>(in.integer("bfs_levels", 1, INT_MAX));
+  }
   return spec;
 }
 

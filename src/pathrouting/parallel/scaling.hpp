@@ -55,6 +55,7 @@ struct ScalingPoint {
   double model_pmax = 0;          // perfect-scaling limit n^{w0}/M^{w0/2}
   double model_bandwidth = 0;     // double cost model for cross-checking
   double ratio_vs_lb = 0;         // bandwidth_cost / lb_combined
+  double seconds = 0;             // wall time of run_scaling_point
 };
 
 /// Local memory (words per processor) of a named regime at (n, P, w0):
@@ -74,7 +75,9 @@ ScalingPoint run_scaling_point(const ScalingSpec& spec);
 void fill_scaling_record(const ScalingPoint& point, obs::BenchRecord& rec);
 
 /// Rebuilds the spec from a baseline record written by
-/// fill_scaling_record.
-ScalingSpec scaling_spec_from_record(const obs::BenchRecord& rec);
+/// fill_scaling_record; a missing field, an unknown schedule, regime or
+/// algorithm, or a SUMMA grid or panel that does not fit n is reported
+/// through `in`.
+ScalingSpec scaling_spec_from_record(obs::RecordReader& in);
 
 }  // namespace pathrouting::parallel

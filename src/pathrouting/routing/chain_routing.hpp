@@ -84,6 +84,7 @@ struct HitStats {
   std::uint64_t bound = 0;
   VertexId argmax = 0;
   [[nodiscard]] bool ok() const { return max_hits <= bound; }
+  bool operator==(const HitStats&) const = default;
 };
 HitStats verify_chain_routing(const ChainRouter& router,
                               const SubComputation& sub);

@@ -45,6 +45,7 @@ struct FullRoutingStats {
     return max_vertex_hits <= bound && max_meta_hits <= bound &&
            root_hit_property;
   }
+  bool operator==(const FullRoutingStats&) const = default;
 };
 
 /// Theorem 2 verification by full enumeration of the |In||Out| paths.

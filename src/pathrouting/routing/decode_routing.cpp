@@ -141,6 +141,12 @@ std::vector<std::uint64_t> count_decode_hits(const DecodeRouter& router,
 
 HitStats verify_decode_routing(const DecodeRouter& router,
                                const cdag::SubComputation& sub) {
+  return decode_stats_from_hits(router, sub, count_decode_hits(router, sub));
+}
+
+HitStats decode_stats_from_hits(const DecodeRouter& router,
+                                const cdag::SubComputation& sub,
+                                std::span<const std::uint64_t> hits) {
   const cdag::Layout& layout = sub.cdag().layout();
   const int k = sub.k();
   HitStats stats;
@@ -148,7 +154,6 @@ HitStats verify_decode_routing(const DecodeRouter& router,
       std::max(layout.pow_a()(k), layout.pow_b()(k));
   stats.bound = static_cast<std::uint64_t>(router.d1_size()) * big;
   stats.num_paths = sub.num_products() * sub.inputs_per_side();
-  const std::vector<std::uint64_t> hits = count_decode_hits(router, sub);
   for (std::uint64_t v = 0; v < hits.size(); ++v) {
     if (hits[v] > stats.max_hits) {
       stats.max_hits = hits[v];

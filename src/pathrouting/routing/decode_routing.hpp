@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "pathrouting/cdag/subcomputation.hpp"
@@ -60,5 +61,11 @@ std::vector<std::uint64_t> count_decode_hits(const DecodeRouter& router,
 /// sub's D_k and check max per-vertex hits <= |D_1| * max(a,b)^k.
 HitStats verify_decode_routing(const DecodeRouter& router,
                                const cdag::SubComputation& sub);
+
+/// The Claim-1 stats of an already-counted hit array (the brute path
+/// above, and callers that keep the array to compare engines).
+HitStats decode_stats_from_hits(const DecodeRouter& router,
+                                const cdag::SubComputation& sub,
+                                std::span<const std::uint64_t> hits);
 
 }  // namespace pathrouting::routing

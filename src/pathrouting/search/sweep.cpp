@@ -1,6 +1,8 @@
 #include "pathrouting/search/sweep.hpp"
 
 #include <algorithm>
+#include <chrono>
+#include <climits>
 
 #include "pathrouting/bilinear/catalog.hpp"
 #include "pathrouting/bounds/formulas.hpp"
@@ -24,6 +26,7 @@ std::uint64_t graph_digest(const cdag::Graph& graph) {
 }
 
 SweepPoint run_search_point(const SweepSpec& spec) {
+  const auto t0 = std::chrono::steady_clock::now();
   const bilinear::BilinearAlgorithm alg = bilinear::by_name(spec.algorithm);
   const cdag::Cdag cdag(alg, spec.r, {.with_coefficients = false});
   const cdag::Graph& graph = cdag.graph();
@@ -84,6 +87,9 @@ SweepPoint run_search_point(const SweepSpec& spec) {
   std::vector<std::uint64_t> witness_words(point.witness.begin(),
                                            point.witness.end());
   point.witness_fnv = support::fnv1a_words(witness_words);
+  point.seconds = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
   return point;
 }
 
@@ -118,19 +124,41 @@ void fill_search_record(const SweepPoint& point, obs::BenchRecord& rec) {
       .set("ratio_vs_lb",
            point.lower_bound > 0 ? static_cast<double>(point.searched_io) /
                                        static_cast<double>(point.lower_bound)
-                                 : 0.0);
+                                 : 0.0)
+      .set("seconds", point.seconds);
 }
 
-SweepSpec search_spec_from_record(const obs::BenchRecord& rec) {
+SweepSpec search_spec_from_record(obs::RecordReader& in) {
   SweepSpec spec;
-  spec.algorithm = rec.text_or("algorithm", "");
-  spec.r = static_cast<int>(rec.int_or("k", 1));
-  spec.m = static_cast<std::uint64_t>(rec.int_or("m", 0));
-  spec.node_budget = static_cast<std::uint64_t>(rec.int_or("budget", 0));
-  spec.seed = static_cast<std::uint64_t>(rec.int_or("seed", 1));
-  spec.ls_rounds = static_cast<std::uint64_t>(rec.int_or("ls_rounds", 16));
-  spec.ls_moves = static_cast<std::uint64_t>(rec.int_or("ls_moves", 64));
+  spec.algorithm = in.one_of("algorithm", bilinear::catalog_names());
+  spec.r = static_cast<int>(in.integer("k", 1, INT_MAX));
+  spec.m = static_cast<std::uint64_t>(in.integer("m", 1));
+  spec.node_budget = static_cast<std::uint64_t>(in.integer("budget"));
+  spec.seed = static_cast<std::uint64_t>(in.integer("seed"));
+  spec.ls_rounds = static_cast<std::uint64_t>(in.integer("ls_rounds"));
+  spec.ls_moves = static_cast<std::uint64_t>(in.integer("ls_moves"));
   return spec;
+}
+
+std::uint64_t certified_count(std::span<const obs::BenchRecord> records) {
+  return static_cast<std::uint64_t>(
+      std::count_if(records.begin(), records.end(), [](const auto& rec) {
+        const obs::BenchValue* cert = rec.find("certified");
+        return rec.text_or("experiment", "") == "schedule_search" &&
+               cert != nullptr && cert->bool_value;
+      }));
+}
+
+void fill_search_summary_record(std::span<const obs::BenchRecord> records,
+                                obs::BenchRecord& rec) {
+  const auto instances =
+      std::count_if(records.begin(), records.end(), [](const auto& r) {
+        return r.text_or("experiment", "") == "schedule_search";
+      });
+  rec.set("experiment", "schedule_search_summary")
+      .set("engine", "search")
+      .set("instances", static_cast<std::uint64_t>(instances))
+      .set("certified_count", certified_count(records));
 }
 
 }  // namespace pathrouting::search

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -56,6 +57,7 @@ struct SweepPoint {
   std::uint64_t witness_fnv = 0;  // digest of the witness schedule
   std::vector<VertexId> witness;
   std::vector<std::uint8_t> output_mask;  // size num_vertices
+  double seconds = 0;  // wall time of the whole pipeline, graph included
 };
 
 /// Runs one point (builds its own Cdag).
@@ -72,7 +74,22 @@ std::uint64_t graph_digest(const cdag::Graph& graph);
 void fill_search_record(const SweepPoint& point, obs::BenchRecord& rec);
 
 /// Rebuilds the spec from a baseline record written by
-/// fill_search_record.
-SweepSpec search_spec_from_record(const obs::BenchRecord& rec);
+/// fill_search_record; a missing field or an unknown algorithm is
+/// reported through `in`.
+SweepSpec search_spec_from_record(obs::RecordReader& in);
+
+/// The sweep's certified-optimal count: the schedule_search records
+/// among `records` whose "certified" is true. Both proofs count —
+/// meeting the root lower bound and exhausting the search space each
+/// certify the witness optimal.
+std::uint64_t certified_count(std::span<const obs::BenchRecord> records);
+
+/// The sweep roll-up (experiment "schedule_search_summary"): the number
+/// of schedule_search records among `records` and their
+/// certified_count. The bench writes it after its points and the gate
+/// rebuilds it from the fresh points, so a certificate lost anywhere in
+/// the sweep shows even if no single record mismatched.
+void fill_search_summary_record(std::span<const obs::BenchRecord> records,
+                                obs::BenchRecord& rec);
 
 }  // namespace pathrouting::search

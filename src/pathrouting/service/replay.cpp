@@ -1,13 +1,20 @@
 #include "pathrouting/service/replay.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <climits>
 #include <cmath>
+#include <filesystem>
 #include <numeric>
 #include <set>
 #include <thread>
 #include <tuple>
 
+#include <unistd.h>
+
+#include "pathrouting/bilinear/catalog.hpp"
+#include "pathrouting/obs/obs.hpp"
 #include "pathrouting/support/check.hpp"
 #include "pathrouting/support/prng.hpp"
 
@@ -33,6 +40,33 @@ constexpr SpaceEntry kSpace[] = {
     {"laderman", CertKind::kChain, 4},
     {"classical2_x_strassen", CertKind::kChain, 4},
     {"classical2_x_strassen", CertKind::kFull, 3},
+};
+
+/// An empty store directory under the system temp dir, unique per
+/// process and call, removed with everything in it on destruction.
+class ScratchStore {
+ public:
+  ScratchStore() {
+    static std::atomic<int> counter{0};
+    path_ = (std::filesystem::temp_directory_path() /
+             ("pathrouting_replay." + std::to_string(::getpid()) + "." +
+              std::to_string(counter++)))
+                .string();
+    std::filesystem::remove_all(path_, ec_);
+  }
+  ScratchStore(const ScratchStore&) = delete;
+  ScratchStore& operator=(const ScratchStore&) = delete;
+  ~ScratchStore() { std::filesystem::remove_all(path_, ec_); }
+
+  [[nodiscard]] ServiceConfig config() const {
+    ServiceConfig config;
+    config.store_dir = path_;
+    return config;
+  }
+
+ private:
+  std::string path_;
+  std::error_code ec_;
 };
 
 }  // namespace
@@ -163,6 +197,99 @@ double percentile_us(std::vector<double> values, double p) {
   idx = idx == 0 ? 0 : idx - 1;
   idx = std::min(idx, values.size() - 1);
   return values[idx];
+}
+
+ColdMissPoint run_cold_miss_point(const ColdMissSpec& spec) {
+  const ScratchStore store;
+  CertificateService svc(store.config());
+  ColdMissPoint point;
+  point.spec = spec;
+  const auto t0 = std::chrono::steady_clock::now();
+  point.response = svc.serve(Request{spec.algorithm, spec.k, CertKind::kChain});
+  point.seconds = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+  return point;
+}
+
+void fill_cold_miss_record(const ColdMissPoint& point, obs::BenchRecord& rec) {
+  const Response& resp = point.response;
+  rec.set("experiment", "service_cold_miss")
+      .set("engine", "service")
+      .set("algorithm", point.spec.algorithm)
+      .set("k", point.spec.k)
+      .set("kind", kind_name(CertKind::kChain))
+      .set("ok", resp.ok)
+      .set("cached", resp.from_cache);
+  if (resp.ok) {
+    const auto& w = resp.certificate.words;
+    rec.set("chains", w[kChainNumChains])
+        .set("l3_max", w[kChainL3MaxHits])
+        .set("l3_bound", w[kChainL3Bound])
+        .set("l4", w[kChainL4Exact])
+        .set("has_fnv", w[kChainHasHitDigest])
+        .set("digest", resp.certificate.payload_digest);
+  }
+  rec.set("cold_us", point.seconds * 1e6)
+      .set("seconds", point.seconds)
+      .set("max_rss_bytes", obs::max_rss_bytes());
+}
+
+ColdMissSpec cold_miss_spec_from_record(obs::RecordReader& in) {
+  ColdMissSpec spec;
+  spec.algorithm = in.one_of("algorithm", bilinear::catalog_names());
+  spec.k = static_cast<int>(in.integer("k", 1, INT_MAX));
+  (void)in.one_of("kind", {kind_name(CertKind::kChain)});
+  return spec;
+}
+
+ReplayPoint run_replay_point(const ReplaySpec& spec) {
+  PR_REQUIRE(spec.experiment == "service_trace" ||
+             spec.experiment == "service_warm");
+  const std::vector<Request> trace = zipf_trace(spec.trace);
+  const ScratchStore store;
+  ReplayPoint point;
+  point.spec = spec;
+  {
+    CertificateService svc(store.config());
+    point.result = replay_trace(svc, trace, spec.client_threads);
+  }
+  if (spec.experiment == "service_warm") {
+    CertificateService reopened(store.config());
+    point.result = replay_trace(reopened, trace, spec.client_threads);
+  }
+  return point;
+}
+
+void fill_replay_record(const ReplayPoint& point, obs::BenchRecord& rec) {
+  const ReplayResult& r = point.result;
+  rec.set("experiment", point.spec.experiment)
+      .set("engine", "service")
+      .set("seed", point.spec.trace.seed)
+      .set("client_threads", point.spec.client_threads)
+      .set("requests", r.requests)
+      .set("unique_keys", r.unique_keys)
+      .set("ok", r.ok)
+      .set("errors", r.errors)
+      .set("cache_hits", r.cache_hits)
+      .set("computed", r.computed)
+      .set("seconds", r.seconds)
+      .set("hit_p50_us", percentile_us(r.hit_us, 50))
+      .set("hit_p99_us", percentile_us(r.hit_us, 99))
+      .set("miss_p50_us", percentile_us(r.miss_us, 50))
+      .set("miss_p99_us", percentile_us(r.miss_us, 99))
+      .set("rps", r.seconds > 0 ? static_cast<double>(r.requests) / r.seconds
+                                : 0.0)
+      .set("max_rss_bytes", obs::max_rss_bytes());
+}
+
+ReplaySpec replay_spec_from_record(obs::RecordReader& in) {
+  ReplaySpec spec;
+  spec.experiment = in.one_of("experiment", {"service_trace", "service_warm"});
+  spec.trace.seed = static_cast<std::uint64_t>(in.integer("seed"));
+  spec.trace.num_requests =
+      static_cast<std::uint64_t>(in.integer("requests", 1));
+  return spec;
 }
 
 }  // namespace pathrouting::service

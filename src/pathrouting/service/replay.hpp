@@ -1,4 +1,6 @@
-// Deterministic Zipf-ish request traces and a replay driver, shared by
+// Deterministic Zipf-ish request traces, a replay driver, and the
+// gated service workloads (spec <-> run <-> record triples for
+// service_cold_miss and service_trace / service_warm), shared by
 // bench/bench_service.cpp and tools/pr_bench_gate.cpp so the committed
 // BENCH_service.json counts can be re-derived exactly.
 //
@@ -12,8 +14,10 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
+#include "pathrouting/obs/bench_record.hpp"
 #include "pathrouting/service/service.hpp"
 
 namespace pathrouting::service {
@@ -57,5 +61,57 @@ struct ReplayResult {
 
 /// p in [0,100] percentile of `values` (nearest-rank; 0 when empty).
 [[nodiscard]] double percentile_us(std::vector<double> values, double p);
+
+/// service_cold_miss: one chain certificate requested from a fresh
+/// service over an empty throwaway store, so the whole request (arena
+/// build, implicit-engine certification, store write) is on the clock.
+struct ColdMissSpec {
+  std::string algorithm;
+  int k = 0;
+};
+
+struct ColdMissPoint {
+  ColdMissSpec spec;
+  Response response;
+  double seconds = 0;
+};
+
+[[nodiscard]] ColdMissPoint run_cold_miss_point(const ColdMissSpec& spec);
+
+/// Experiment "service_cold_miss"; the certificate words are recorded
+/// only when the request succeeded.
+void fill_cold_miss_record(const ColdMissPoint& point, obs::BenchRecord& rec);
+
+/// Rebuilds the spec from a record written by fill_cold_miss_record; a
+/// missing field, an unknown algorithm or a kind other than chain is
+/// reported through `in`.
+[[nodiscard]] ColdMissSpec cold_miss_spec_from_record(obs::RecordReader& in);
+
+/// A trace replay. run_replay_point runs the two gated experiments:
+/// "service_trace" replays the trace on a fresh service over an empty
+/// throwaway store (first touch of each key misses, repeats hit), and
+/// "service_warm" then replays it again on a second service that
+/// reopens the populated store, so every answer comes off mmap.
+/// bench_service also records "service_throughput" replays of its own
+/// warm service; they are timing-only and never re-run.
+struct ReplaySpec {
+  std::string experiment;
+  TraceSpec trace;
+  int client_threads = 1;
+};
+
+struct ReplayPoint {
+  ReplaySpec spec;
+  ReplayResult result;  // of the last replay
+};
+
+/// Requires spec.experiment to be service_trace or service_warm.
+[[nodiscard]] ReplayPoint run_replay_point(const ReplaySpec& spec);
+
+void fill_replay_record(const ReplayPoint& point, obs::BenchRecord& rec);
+
+/// Rebuilds a single-client service_trace / service_warm spec from a
+/// record written by fill_replay_record.
+[[nodiscard]] ReplaySpec replay_spec_from_record(obs::RecordReader& in);
 
 }  // namespace pathrouting::service

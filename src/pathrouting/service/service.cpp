@@ -334,6 +334,20 @@ Response CertificateService::serve(const Request& request) {
       }
       return other->future.get();
     }
+    // The owner inserts into the store before it leaves inflight_, so
+    // a key absent from both under this lock is truly missing; without
+    // the re-check a key finished since the lookup above is recomputed.
+    if (std::optional<Certificate> hit = store_.find_indexed(key)) {
+      lock.unlock();
+      obs_hits.add();
+      {
+        std::lock_guard<std::mutex> mlock(metrics_mutex_);
+        ++metrics_.store_hits;
+      }
+      Response resp = finish(key, std::move(*hit), true);
+      arena->annotate(request, resp);
+      return resp;
+    }
     owned = std::make_shared<Inflight>();
     inflight_.emplace(key, owned);
     std::lock_guard<std::mutex> mlock(metrics_mutex_);

@@ -47,6 +47,14 @@ std::string CertificateStore::path_of(const StoreKey& key) const {
   return dir_ + "/" + store_file_name(key);
 }
 
+std::optional<Certificate> CertificateStore::find_indexed(
+    const StoreKey& key) const {
+  std::shared_lock<std::shared_mutex> lock(mutex_);
+  const auto it = index_.find(key);
+  if (it == index_.end()) return std::nullopt;
+  return it->second;
+}
+
 std::optional<Certificate> CertificateStore::lookup(const StoreKey& key) {
   static obs::Counter index_hits("service.store.index_hits");
   static obs::Counter file_hits("service.store.file_hits");

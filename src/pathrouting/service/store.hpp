@@ -65,6 +65,12 @@ class CertificateStore {
   /// certificate payloads are a handful of words.
   [[nodiscard]] std::optional<Certificate> lookup(const StoreKey& key);
 
+  /// Index-only probe: no file access and no hit/miss counters. An
+  /// insert always lands in the index, so this sees every key this
+  /// store has inserted.
+  [[nodiscard]] std::optional<Certificate> find_indexed(
+      const StoreKey& key) const;
+
   /// Write-through insert (no-op if the key is already indexed).
   /// Returns false only when the disk write failed; the in-memory
   /// index is updated regardless.

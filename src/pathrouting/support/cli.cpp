@@ -1,5 +1,7 @@
 #include "pathrouting/support/cli.hpp"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -16,7 +18,9 @@ Cli::Cli(int argc, const char* const* argv) {
       help_requested_ = true;
       continue;
     }
-    PR_REQUIRE_MSG(arg.rfind("--", 0) == 0, "flags must start with --");
+    if (arg.rfind("--", 0) != 0) {
+      fail("unexpected argument '" + arg + "' (flags start with --)");
+    }
     arg = arg.substr(2);
     const auto eq = arg.find('=');
     if (eq != std::string::npos) {
@@ -29,37 +33,60 @@ Cli::Cli(int argc, const char* const* argv) {
   }
 }
 
+bool Cli::take(const std::string& name, std::string& value) {
+  auto it = given_.find(name);
+  if (it == given_.end()) return false;
+  value = it->second;
+  given_.erase(it);
+  return true;
+}
+
 std::int64_t Cli::flag_int(const std::string& name, std::int64_t def,
                            const std::string& help) {
   help_lines_.push_back("  --" + name + "=<int>  (default " +
                         std::to_string(def) + ")  " + help);
-  auto it = given_.find(name);
-  if (it == given_.end()) return def;
-  const std::string value = it->second;
-  given_.erase(it);
-  return std::strtoll(value.c_str(), nullptr, 10);
+  std::string value;
+  if (!take(name, value)) return def;
+  char* end = nullptr;
+  errno = 0;
+  const long long parsed = std::strtoll(value.c_str(), &end, 10);
+  if (value.empty() || *end != '\0' || errno == ERANGE) {
+    fail("--" + name + " expects an integer, got '" + value + "'");
+  }
+  return parsed;
+}
+
+double Cli::flag_double(const std::string& name, double def,
+                        const std::string& help) {
+  help_lines_.push_back("  --" + name + "=<num>  (default " +
+                        std::to_string(def) + ")  " + help);
+  std::string value;
+  if (!take(name, value)) return def;
+  char* end = nullptr;
+  const double parsed = std::strtod(value.c_str(), &end);
+  if (value.empty() || *end != '\0' || !std::isfinite(parsed)) {
+    fail("--" + name + " expects a number, got '" + value + "'");
+  }
+  return parsed;
 }
 
 std::string Cli::flag_str(const std::string& name, const std::string& def,
                           const std::string& help) {
   help_lines_.push_back("  --" + name + "=<str>  (default \"" + def + "\")  " +
                         help);
-  auto it = given_.find(name);
-  if (it == given_.end()) return def;
-  std::string value = it->second;
-  given_.erase(it);
-  return value;
+  std::string value;
+  return take(name, value) ? value : def;
 }
 
 bool Cli::flag_bool(const std::string& name, bool def,
                     const std::string& help) {
   help_lines_.push_back("  --" + name + "  (default " +
                         (def ? "true" : "false") + ")  " + help);
-  auto it = given_.find(name);
-  if (it == given_.end()) return def;
-  const std::string value = it->second;
-  given_.erase(it);
-  return value == "true" || value == "1" || value == "yes";
+  std::string value;
+  if (!take(name, value)) return def;
+  if (value == "true" || value == "1" || value == "yes") return true;
+  if (value == "false" || value == "0" || value == "no") return false;
+  fail("--" + name + " is a switch, got value '" + value + "'");
 }
 
 void Cli::finish(const std::string& program_description) {
@@ -77,6 +104,12 @@ void Cli::finish(const std::string& program_description) {
     std::fprintf(stderr, "\nuse --help for usage\n");
     std::exit(2);
   }
+}
+
+void Cli::fail(const std::string& message) const {
+  std::fprintf(stderr, "%s: %s\nuse --help for usage\n", program_.c_str(),
+               message.c_str());
+  std::exit(2);
 }
 
 }  // namespace pathrouting::support

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -169,6 +170,13 @@ struct GoldenCase {
   std::string algorithm;
   int kmax;
 };
+
+// Without this gtest prints the raw bytes of the struct, including the
+// heap address inside std::string, so the listed test name would change
+// with every rebuild.
+void PrintTo(const GoldenCase& c, std::ostream* os) {
+  *os << c.algorithm << " kmax=" << c.kmax;
+}
 
 class GoldenTest : public ::testing::TestWithParam<GoldenCase> {};
 

@@ -11,6 +11,7 @@
 #include "pathrouting/cdag/cdag.hpp"
 #include "pathrouting/routing/memo_routing.hpp"
 #include "pathrouting/routing/path_store.hpp"
+#include "pathrouting/routing/routing_point.hpp"
 
 namespace {
 
@@ -284,6 +285,56 @@ TEST(PathStoreTest, DotExportListsEveryChainVertex) {
   for (const VertexId v : store.path(0)) {
     EXPECT_NE(dot.find("v" + std::to_string(v)), std::string::npos);
   }
+}
+
+TEST(RoutingPoint, RecordsRoundTripTheSpecAndEnginesAgree) {
+  for (const EngineKind engine :
+       {EngineKind::kBrute, EngineKind::kMemo, EngineKind::kImplicit}) {
+    const RoutingSpec spec{"strassen", 2, engine};
+    const ChainPoint chain = run_chain_point(spec);
+    const DecodePoint decode = run_decode_point(spec);
+    EXPECT_TRUE(chain.ok());
+    EXPECT_TRUE(decode.stats.ok());
+    EXPECT_EQ(chain.counts.hits.empty(), engine == EngineKind::kImplicit);
+    obs::BenchRecord chain_rec;
+    fill_chain_record(chain, chain_rec);
+    // The committed BENCH_routing_memo.json values, on every engine.
+    EXPECT_EQ(chain_rec.int_or("l3_max_hits", 0), 8);
+    obs::BenchRecord decode_rec;
+    fill_decode_record(decode, decode_rec);
+    EXPECT_EQ(decode_rec.int_or("max_hits", 0), 112);
+    for (const obs::BenchRecord* rec : {&chain_rec, &decode_rec}) {
+      obs::RecordReader in(*rec);
+      const RoutingSpec back = routing_spec_from_record(in);
+      EXPECT_TRUE(in.ok()) << in.error();
+      EXPECT_EQ(back.algorithm, spec.algorithm);
+      EXPECT_EQ(back.k, spec.k);
+      EXPECT_EQ(back.engine, spec.engine);
+    }
+  }
+}
+
+TEST(RoutingPoint, SpecFromRecordRejectsBasesClaimOneExcludes) {
+  int disconnected = 0;
+  for (const std::string& name : bilinear::catalog_names()) {
+    if (bilinear::decoding_components(bilinear::by_name(name)) == 1) continue;
+    ++disconnected;
+    obs::BenchRecord rec;
+    rec.set("experiment", "decode_routing")
+        .set("algorithm", name)
+        .set("k", 1)
+        .set("engine", "memo");
+    obs::RecordReader in(rec);
+    (void)routing_spec_from_record(in);
+    EXPECT_EQ(in.error(),
+              "field \"algorithm\": decoding graph is disconnected "
+              "(Claim 1 does not apply)");
+    rec.set("experiment", "chain_routing");  // Lemma 3 has no such need
+    obs::RecordReader chain_in(rec);
+    (void)routing_spec_from_record(chain_in);
+    EXPECT_TRUE(chain_in.ok()) << chain_in.error();
+  }
+  EXPECT_GT(disconnected, 0);  // the catalog has classical bases
 }
 
 }  // namespace

@@ -295,4 +295,29 @@ TEST_F(ObsTest, CountersExportInBenchSchema) {
   EXPECT_TRUE(obs::parse_bench_json(file.to_json()).file.has_value());
 }
 
+TEST(RecordReader, ReadsPresentFieldsAndNamesTheFirstBadOne) {
+  obs::BenchRecord rec;
+  rec.set("algorithm", "strassen").set("k", 3).set("label", 7);
+  obs::RecordReader in(rec);
+  EXPECT_EQ(in.one_of("algorithm", {"winograd", "strassen"}), "strassen");
+  EXPECT_EQ(in.integer("k", 1), 3);
+  EXPECT_TRUE(in.ok());
+
+  EXPECT_EQ(in.integer("k", 4), 4);  // below the minimum: placeholder
+  EXPECT_EQ(in.error(), "field \"k\": expected an integer >= 4, got 3");
+  (void)in.text("missing");  // a later error does not overwrite
+  EXPECT_EQ(in.error(), "field \"k\": expected an integer >= 4, got 3");
+
+  obs::RecordReader typed(rec);
+  (void)typed.text("label");
+  EXPECT_EQ(typed.error(), "field \"label\": expected a string");
+  obs::RecordReader unknown(rec);
+  (void)unknown.one_of("algorithm", {"winograd"});
+  EXPECT_EQ(unknown.error(),
+            "field \"algorithm\": \"strassen\" is not one of winograd");
+  obs::RecordReader missing(rec);
+  (void)missing.integer("m");
+  EXPECT_EQ(missing.error(), "field \"m\": missing");
+}
+
 }  // namespace

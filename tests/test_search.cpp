@@ -491,7 +491,9 @@ TEST(ScheduleSearchSweep, RecordRoundTripsSpec) {
   const search::SweepPoint point = search::run_search_point(spec);
   obs::BenchRecord rec;
   search::fill_search_record(point, rec);
-  const search::SweepSpec back = search::search_spec_from_record(rec);
+  obs::RecordReader in(rec);
+  const search::SweepSpec back = search::search_spec_from_record(in);
+  EXPECT_TRUE(in.ok()) << in.error();
   EXPECT_EQ(back.algorithm, spec.algorithm);
   EXPECT_EQ(back.r, spec.r);
   EXPECT_EQ(back.m, spec.m);
@@ -499,6 +501,59 @@ TEST(ScheduleSearchSweep, RecordRoundTripsSpec) {
   EXPECT_EQ(back.seed, spec.seed);
   EXPECT_EQ(back.ls_rounds, spec.ls_rounds);
   EXPECT_EQ(back.ls_moves, spec.ls_moves);
+}
+
+TEST(ScheduleSearchSweep, SpecFromRecordRejectsMalformedRecords) {
+  search::SweepSpec spec;
+  spec.algorithm = "strassen";
+  spec.m = 8;
+  search::SweepPoint point;
+  point.spec = spec;
+  obs::BenchRecord good;
+  search::fill_search_record(point, good);
+
+  obs::BenchRecord unknown = good;
+  unknown.set("algorithm", "nope");
+  obs::RecordReader unknown_in(unknown);
+  (void)search::search_spec_from_record(unknown_in);
+  EXPECT_NE(unknown_in.error().find("\"algorithm\""), std::string::npos)
+      << unknown_in.error();
+
+  obs::BenchRecord missing;
+  for (const auto& [key, value] : good.fields()) {
+    if (key != "m") missing.set(key, value);
+  }
+  obs::RecordReader missing_in(missing);
+  (void)search::search_spec_from_record(missing_in);
+  EXPECT_EQ(missing_in.error(), "field \"m\": missing");
+}
+
+/// A schedule_search record of a point with the given verdict.
+obs::BenchRecord point_record(bool certified, search::Proof proof) {
+  search::SweepPoint point;
+  point.spec.algorithm = "strassen";
+  point.certified = certified;
+  point.proof = proof;
+  obs::BenchRecord rec;
+  search::fill_search_record(point, rec);
+  return rec;
+}
+
+TEST(ScheduleSearchSweep, CertifiedCountCountsBothProofs) {
+  // Meeting the bound and exhausting the space both prove optimality;
+  // an uncertified point and a non-point record never count.
+  std::vector<obs::BenchRecord> records = {
+      point_record(true, search::Proof::kBoundMet),
+      point_record(true, search::Proof::kExhausted),
+      point_record(false, search::Proof::kNone)};
+  records.emplace_back().set("experiment", "other").set("certified", true);
+  EXPECT_EQ(search::certified_count(records), 2u);
+
+  obs::BenchRecord summary;
+  search::fill_search_summary_record(records, summary);
+  EXPECT_EQ(summary.text_or("experiment", ""), "schedule_search_summary");
+  EXPECT_EQ(summary.int_or("instances", 0), 3);
+  EXPECT_EQ(summary.int_or("certified_count", 0), 2);
 }
 
 }  // namespace

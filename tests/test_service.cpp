@@ -695,6 +695,43 @@ TEST(ServiceAudit, AuditingServiceServesCleanly) {
   EXPECT_TRUE(again.from_cache);
 }
 
+TEST(ServiceWorkloads, ColdMissRecordRoundTripsAndRejectsBadInput) {
+  const service::ColdMissPoint point =
+      service::run_cold_miss_point({"strassen", 2});
+  ASSERT_TRUE(point.response.ok) << point.response.error;
+  EXPECT_FALSE(point.response.from_cache);
+  obs::BenchRecord rec;
+  service::fill_cold_miss_record(point, rec);
+  obs::RecordReader in(rec);
+  const service::ColdMissSpec back = service::cold_miss_spec_from_record(in);
+  EXPECT_TRUE(in.ok()) << in.error();
+  EXPECT_EQ(back.algorithm, "strassen");
+  EXPECT_EQ(back.k, 2);
+
+  rec.set("algorithm", "nope");
+  obs::RecordReader bad(rec);
+  (void)service::cold_miss_spec_from_record(bad);
+  EXPECT_NE(bad.error().find("\"algorithm\""), std::string::npos);
+}
+
+TEST(ServiceWorkloads, WarmReplayServesEverythingFromTheReopenedStore) {
+  const service::TraceSpec trace{.seed = 7, .num_requests = 64};
+  const service::ReplayPoint cold =
+      service::run_replay_point({"service_trace", trace});
+  const service::ReplayPoint warm =
+      service::run_replay_point({"service_warm", trace});
+  EXPECT_EQ(cold.result.computed, cold.result.unique_keys);
+  EXPECT_EQ(warm.result.computed, 0u);
+  EXPECT_EQ(warm.result.cache_hits, trace.num_requests);
+  obs::BenchRecord rec;
+  service::fill_replay_record(warm, rec);
+  obs::RecordReader in(rec);
+  const service::ReplaySpec back = service::replay_spec_from_record(in);
+  EXPECT_TRUE(in.ok()) << in.error();
+  EXPECT_EQ(back.experiment, "service_warm");
+  EXPECT_EQ(back.trace, trace);
+}
+
 }  // namespace
 
 TEST(Protocol, RejectsOverlongLinesAtTheExactBoundary) {

@@ -3,6 +3,7 @@
 #include <set>
 #include <sstream>
 
+#include "pathrouting/support/cli.hpp"
 #include "pathrouting/support/digest.hpp"
 #include "pathrouting/support/mixed_radix.hpp"
 #include "pathrouting/support/prng.hpp"
@@ -181,6 +182,59 @@ TEST(FormatTest, Counts) {
 TEST(FormatTest, FixedAndSci) {
   EXPECT_EQ(pathrouting::support::fmt_fixed(3.14159, 2), "3.14");
   EXPECT_EQ(pathrouting::support::fmt_sci(1234567.0), "1.23e+06");
+}
+
+TEST(CliTest, DoubleFlagsParse) {
+  const char* argv[] = {"prog", "--tolerance=2.5", "--floor", "-1e-3"};
+  support::Cli cli(4, argv);
+  EXPECT_EQ(cli.flag_double("tolerance", 1.0, ""), 2.5);
+  EXPECT_EQ(cli.flag_double("floor", 0.0, ""), -1e-3);
+  EXPECT_EQ(cli.flag_double("absent", 0.25, ""), 0.25);
+  cli.finish("test");
+}
+
+// Bad command lines are usage errors: exit 2 with a diagnostic naming
+// the offending argument, never an abort or a silently parsed prefix.
+TEST(CliDeathTest, PositionalArgumentExitsTwo) {
+  const char* argv[] = {"prog", "stray"};
+  EXPECT_EXIT(support::Cli(2, argv), ::testing::ExitedWithCode(2),
+              "prog: unexpected argument 'stray'");
+}
+
+TEST(CliDeathTest, MalformedIntExitsTwo) {
+  for (const char* arg : {"--m=4x", "--m=abc", "--m="}) {
+    const char* argv[] = {"prog", arg};
+    EXPECT_EXIT(
+        {
+          support::Cli cli(2, argv);
+          (void)cli.flag_int("m", 0, "");
+        },
+        ::testing::ExitedWithCode(2), "--m expects an integer")
+        << arg;
+  }
+}
+
+TEST(CliDeathTest, MalformedDoubleExitsTwo) {
+  for (const char* arg : {"--x=1.5s", "--x=abc", "--x=nan", "--x=inf"}) {
+    const char* argv[] = {"prog", arg};
+    EXPECT_EXIT(
+        {
+          support::Cli cli(2, argv);
+          (void)cli.flag_double("x", 0.0, "");
+        },
+        ::testing::ExitedWithCode(2), "--x expects a number")
+        << arg;
+  }
+}
+
+TEST(CliDeathTest, SwitchWithAValueExitsTwo) {
+  const char* argv[] = {"prog", "--verbose", "maybe"};
+  EXPECT_EXIT(
+      {
+        support::Cli cli(3, argv);
+        (void)cli.flag_bool("verbose", false, "");
+      },
+      ::testing::ExitedWithCode(2), "--verbose is a switch, got value 'maybe'");
 }
 
 }  // namespace

@@ -1,62 +1,68 @@
 // pr_bench_gate — regression gate over committed BENCH_*.json files.
 //
-// Loads a baseline (BENCH_routing_memo.json or BENCH_service.json in
-// CI), re-runs every workload it records — memoized perfsmoke
-// (experiment chain_routing / decode_routing, engine memo, k <=
-// --kmax) and certificate-service workloads (service_cold_miss /
-// service_trace / service_warm, replayed with the recorded trace seed
-// against a throwaway store) — through the observability layer, and
-// fails when the fresh run regresses:
+// Loads a baseline, re-runs every record that a row of the table below
+// matches (one row per gated (experiment, engine)) through the
+// observability layer, and fails when the fresh run regresses:
 //
-//   * count fields must match the baseline EXACTLY — the determinism
-//     contract says hit counts, bounds, and verdicts are functions of
-//     the algorithm alone, so any drift is a correctness bug, not
-//     noise;
+//   * every field a row does not declare soft must match the baseline
+//     EXACTLY — counts, bounds, digests and verdicts are functions of
+//     the spec alone (the determinism contract), so any drift is a
+//     correctness bug, not noise;
+//   * soft fields are never compared: each row's own (latencies,
+//     speedups, derived doubles that go through libm) plus the
+//     standard per-record "threads" and "commit";
 //   * "seconds" may grow up to --tolerance x the baseline (floored at
 //     --min-seconds, under which timing is pure jitter).
 //
-// The text diff goes to stdout; --report writes the same verdicts as
-// a BENCH-schema JSON file, and --trace / --metrics dump the chrome
-// trace and obs counters of the fresh run (PR_TRACE_OUT /
-// PR_METRICS_OUT work too). Reports are annotated with the build's
-// commit and the resolved thread count, so a CI artifact is
-// self-describing.
+// A row names the experiment's spec <-> run <-> record triple, which
+// lives beside the code it measures and is the one the bench wrote the
+// baseline with: spec_from_record rebuilds the spec from the committed
+// record, run_*_point re-runs it, fill_*_record writes the fresh
+// record. Adding a gated experiment takes its triple plus one row.
+// Records no row matches (brute engines, the throughput sweep) are not
+// re-run; routing records above --kmax are skipped. Duplicate records
+// (a baseline may concatenate a threads=1 and a threads=8 run) must
+// agree on every compared field and collapse into one workload, timed
+// against the fastest. The schedule-search roll-up is a row like the
+// others; its fresh record is rebuilt from the fresh sweep points.
 //
-// --self-test-pessimize deliberately corrupts every fresh record
-// (seconds x100, max-hit count +1) after measurement; the gate must
-// then fail with a readable diff. tests/test_bench_gate.py-style
-// mutation lives in tests/test_obs.cpp's gate section and CI runs the
-// flag directly — a gate that cannot fail gates nothing.
+// BENCH files are outside input: a record with a missing spec field or
+// an unknown algorithm is rejected (exit 2) naming the record and the
+// field, before anything runs.
+//
+// The text diff goes to stdout; --report writes the same verdicts as a
+// BENCH-schema JSON file, and --trace / --metrics dump the chrome trace
+// and obs counters of the fresh run (PR_TRACE_OUT / PR_METRICS_OUT work
+// too), annotated with the build's commit and the resolved thread
+// count, so a CI artifact is self-describing.
+//
+// --self-test-pessimize corrupts every fresh record after measurement
+// (seconds x100, the row's pessimize field +1); the gate must then fail
+// with a readable diff — a gate that cannot fail gates nothing.
 //
 // Exit codes: 0 pass, 1 count/verdict mismatch (hard: the determinism
-// contract is broken, CI must fail), 2 usage/parse errors, 3
-// timing-only regression (soft: CI reports but does not fail — shared
-// runners make wall clocks noisy, counts are not). A run with both
-// kinds of failure exits 1: the hard failure dominates.
-#include <unistd.h>
-
+// contract is broken, CI must fail), 2 usage/parse errors or a
+// malformed baseline record, 3 timing-only regression (soft: CI
+// reports but does not fail — shared runners make wall clocks noisy,
+// counts are not). A run with both kinds of failure exits 1.
 #include <algorithm>
-#include <chrono>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <filesystem>
+#include <functional>
 #include <map>
-#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "pathrouting/bilinear/analysis.hpp"
-#include "pathrouting/bilinear/catalog.hpp"
 #include "pathrouting/obs/bench_record.hpp"
 #include "pathrouting/obs/export.hpp"
 #include "pathrouting/obs/obs.hpp"
 #include "pathrouting/parallel/scaling.hpp"
-#include "pathrouting/routing/concat_routing.hpp"
-#include "pathrouting/routing/decode_routing.hpp"
-#include "pathrouting/routing/memo_routing.hpp"
+#include "pathrouting/routing/routing_point.hpp"
 #include "pathrouting/search/sweep.hpp"
 #include "pathrouting/service/replay.hpp"
-#include "pathrouting/service/service.hpp"
+#include "pathrouting/support/cli.hpp"
 #include "pathrouting/support/parallel.hpp"
 
 namespace {
@@ -71,300 +77,142 @@ const char* git_commit() {
 #endif
 }
 
+/// Re-runs one baseline record and returns the fresh record. `earlier`
+/// holds the fresh records of every workload run before it, which is
+/// all a roll-up row reads.
+using Rerun =
+    std::function<obs::BenchRecord(std::span<const obs::BenchRecord> earlier)>;
+
+/// Rebuilds a baseline record's spec; an empty Rerun rejects the record
+/// with `error` naming the field.
+using Prepare = Rerun (*)(const obs::BenchRecord& base, std::string& error);
+
+template <auto spec_from_record, auto run_point, auto fill_record>
+Rerun triple(const obs::BenchRecord& base, std::string& error) {
+  obs::RecordReader in(base);
+  const auto spec = spec_from_record(in);
+  if (!in.ok()) {
+    error = in.error();
+    return {};
+  }
+  return [spec](std::span<const obs::BenchRecord> /*earlier*/) {
+    obs::BenchRecord rec;
+    fill_record(run_point(spec), rec);
+    return rec;
+  };
+}
+
+Rerun search_rollup(const obs::BenchRecord& /*base*/, std::string& /*error*/) {
+  return [](std::span<const obs::BenchRecord> earlier) {
+    obs::BenchRecord rec;
+    search::fill_search_summary_record(earlier, rec);
+    return rec;
+  };
+}
+
+struct Row {
+  const char* experiment;
+  const char* engine;
+  Prepare prepare;
+  std::vector<std::string> soft;  // never compared (see header)
+  const char* pessimize;          // --self-test-pessimize bumps it
+  bool kmax_applies = false;      // skip records with k > --kmax
+};
+
+const std::vector<std::string> kRoutingSoft = {
+    "speedup", "counts_bit_identical", "max_rss_bytes"};
+const std::vector<std::string> kReplaySoft = {
+    "hit_p50_us", "hit_p99_us", "miss_p50_us",
+    "miss_p99_us", "rps",        "max_rss_bytes"};
+
+const Row kTable[] = {
+    {"chain_routing", "memo",
+     triple<routing::routing_spec_from_record, routing::run_chain_point,
+            routing::fill_chain_record>,
+     kRoutingSoft, "l3_max_hits", true},
+    {"decode_routing", "memo",
+     triple<routing::routing_spec_from_record, routing::run_decode_point,
+            routing::fill_decode_record>,
+     kRoutingSoft, "max_hits", true},
+    {"service_cold_miss", "service",
+     triple<service::cold_miss_spec_from_record, service::run_cold_miss_point,
+            service::fill_cold_miss_record>,
+     {"cold_us", "max_rss_bytes"}, "chains"},
+    {"service_trace", "service",
+     triple<service::replay_spec_from_record, service::run_replay_point,
+            service::fill_replay_record>,
+     kReplaySoft, "cache_hits"},
+    {"service_warm", "service",
+     triple<service::replay_spec_from_record, service::run_replay_point,
+            service::fill_replay_record>,
+     kReplaySoft, "cache_hits"},
+    {"distributed_scaling", "machine",
+     triple<parallel::scaling_spec_from_record, parallel::run_scaling_point,
+            parallel::fill_scaling_record>,
+     {"omega0", "lb_mem_dependent", "lb_mem_independent", "lb_combined",
+      "model_pmax", "model_bandwidth", "ratio_vs_lb"},
+     "bandwidth_cost"},
+    {"schedule_search", "search",
+     triple<search::search_spec_from_record, search::run_search_point,
+            search::fill_search_record>,
+     {"ratio_vs_lb"}, "searched_io"},
+    {"schedule_search_summary", "search", search_rollup, {},
+     "certified_count"},
+};
+
+bool soft(const Row& row, const std::string& key) {
+  return key == "seconds" || key == "threads" || key == "commit" ||
+         std::find(row.soft.begin(), row.soft.end(), key) != row.soft.end();
+}
+
 struct Options {
   std::string baseline;
   int kmax = 5;
-  double tolerance = 2.0;     // allowed fresh/base wall-clock ratio
-  double min_seconds = 0.05;  // below this, timing is jitter: never fail
+  double tolerance = 2.0;
+  double min_seconds = 0.05;
   std::string report_path;
   std::string trace_path;
   std::string metrics_path;
   bool pessimize = false;
 };
 
-[[noreturn]] void usage(const char* msg) {
-  if (msg != nullptr) std::fprintf(stderr, "pr_bench_gate: %s\n", msg);
-  std::fprintf(
-      stderr,
-      "usage: pr_bench_gate --baseline BENCH_x.json [--kmax N] "
-      "[--tolerance X] [--min-seconds S] [--report out.json] "
-      "[--trace trace.json] [--metrics metrics.json] "
-      "[--self-test-pessimize]\n");
-  std::exit(2);
-}
-
-std::string flag_value(const std::string& arg, const char* name) {
-  const std::size_t n = std::strlen(name);
-  if (arg.compare(0, n, name) == 0 && arg.size() > n && arg[n] == '=') {
-    return arg.substr(n + 1);
-  }
-  return "";
-}
-
 Options parse_options(int argc, char** argv) {
+  support::Cli cli(argc, argv);
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&](const char* what) -> std::string {
-      if (i + 1 >= argc) usage(what);
-      return argv[++i];
-    };
-    if (arg == "--baseline") {
-      opt.baseline = next("--baseline needs a path");
-    } else if (std::string v = flag_value(arg, "--baseline"); !v.empty()) {
-      opt.baseline = v;
-    } else if (arg == "--kmax") {
-      opt.kmax = std::atoi(next("--kmax needs a value").c_str());
-    } else if (std::string v2 = flag_value(arg, "--kmax"); !v2.empty()) {
-      opt.kmax = std::atoi(v2.c_str());
-    } else if (arg == "--tolerance") {
-      opt.tolerance = std::atof(next("--tolerance needs a value").c_str());
-    } else if (std::string v3 = flag_value(arg, "--tolerance"); !v3.empty()) {
-      opt.tolerance = std::atof(v3.c_str());
-    } else if (arg == "--min-seconds") {
-      opt.min_seconds = std::atof(next("--min-seconds needs a value").c_str());
-    } else if (std::string v4 = flag_value(arg, "--min-seconds"); !v4.empty()) {
-      opt.min_seconds = std::atof(v4.c_str());
-    } else if (arg == "--report") {
-      opt.report_path = next("--report needs a path");
-    } else if (arg == "--trace") {
-      opt.trace_path = next("--trace needs a path");
-    } else if (arg == "--metrics") {
-      opt.metrics_path = next("--metrics needs a path");
-    } else if (arg == "--self-test-pessimize") {
-      opt.pessimize = true;
-    } else {
-      usage(("unknown flag " + arg).c_str());
-    }
-  }
-  if (opt.baseline.empty()) usage("--baseline is required");
-  if (opt.kmax < 1) usage("--kmax must be >= 1");
-  if (opt.tolerance < 1.0) usage("--tolerance must be >= 1.0");
+  opt.baseline = cli.flag_str("baseline", "", "committed BENCH_*.json");
+  const std::int64_t kmax =
+      cli.flag_int("kmax", opt.kmax, "skip routing records above this k");
+  opt.tolerance = cli.flag_double("tolerance", opt.tolerance,
+                                  "allowed fresh/baseline seconds ratio");
+  opt.min_seconds = cli.flag_double("min-seconds", opt.min_seconds,
+                                    "below this, timing never fails");
+  opt.report_path = cli.flag_str("report", "", "write verdicts as JSON");
+  opt.trace_path = cli.flag_str("trace", "", "write the chrome trace");
+  opt.metrics_path = cli.flag_str("metrics", "", "write the obs counters");
+  opt.pessimize = cli.flag_bool("self-test-pessimize", false,
+                                "corrupt every fresh record: must fail");
+  cli.finish(
+      "pr_bench_gate: re-runs a committed BENCH_*.json baseline; exit 1 "
+      "on count drift, 3 on timing-only regression.");
+  if (opt.baseline.empty()) cli.fail("--baseline is required");
+  if (kmax < 1) cli.fail("--kmax must be >= 1");
+  if (opt.tolerance < 1.0) cli.fail("--tolerance must be >= 1.0");
+  opt.kmax = static_cast<int>(std::min<std::int64_t>(kmax, INT_MAX));
   return opt;
 }
 
-/// One (experiment, algorithm, k) workload of the baseline; duplicate
-/// records (the committed baseline concatenates a threads=1 and a
-/// threads=8 run) collapse into one group whose timing reference is
-/// the fastest baseline record.
+/// One gated workload of the baseline: its first record (the count
+/// reference) and the fastest duplicate's seconds.
 struct Workload {
-  std::string experiment;
-  std::string algorithm;
-  int k = 0;
-  const obs::BenchRecord* reference = nullptr;  // count comparison
+  std::size_t row = 0;  // index into kTable
+  const obs::BenchRecord* reference = nullptr;
   double base_seconds = 0;
+  Rerun rerun;
 };
 
 double seconds_of(const obs::BenchRecord& rec) {
   const obs::BenchValue* v = rec.find("seconds");
   return v != nullptr && v->is_number() ? v->as_double() : 0.0;
-}
-
-/// Fields that are run-dependent or derived, never compared exactly.
-/// Latency percentiles ("*_us") and throughput ("rps") are timing like
-/// "seconds" — the service bench enforces its own budgets on them.
-/// Derived doubles of the scaling sweep ("lb_*", "model_*", "omega0",
-/// "ratio_vs_lb") follow the machine counters they are computed from
-/// but go through libm, which the determinism contract does not cover.
-bool ignored_field(const std::string& key) {
-  if (key.size() > 3 && key.compare(key.size() - 3, 3, "_us") == 0) {
-    return true;
-  }
-  if (key.compare(0, 3, "lb_") == 0 || key.compare(0, 6, "model_") == 0) {
-    return true;
-  }
-  return key == "seconds" || key == "speedup" ||
-         key == "counts_bit_identical" || key == "threads" ||
-         key == "commit" || key == "max_rss_bytes" || key == "rps" ||
-         key == "omega0" || key == "ratio_vs_lb";
-}
-
-/// The certificate-service workloads the gate re-runs. The throughput
-/// sweep (service_throughput) is timing-only and is not collected.
-bool service_experiment(const std::string& experiment) {
-  return experiment == "service_cold_miss" ||
-         experiment == "service_trace" || experiment == "service_warm";
-}
-
-struct FreshRun {
-  obs::BenchRecord rec;
-  double seconds = 0;
-};
-
-FreshRun run_chain(const bilinear::BilinearAlgorithm& alg,
-                   const std::string& name, int k) {
-  const routing::ChainRouter router(alg);
-  const routing::MemoRoutingEngine memo(router);
-  const cdag::Cdag graph(alg, k, {.with_coefficients = false});
-  const cdag::SubComputation sub(graph, k, 0);
-  const auto t0 = std::chrono::steady_clock::now();
-  const routing::ChainHitCounts counts = memo.chain_hits(sub);
-  const routing::HitStats l3 = routing::chain_stats_from_counts(counts, sub);
-  const bool l4 = memo.verify_chain_multiplicities(sub);
-  const routing::FullRoutingStats t2 =
-      routing::full_routing_from_chain_counts(sub, counts);
-  FreshRun run;
-  run.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                              t0)
-                    .count();
-  run.rec.set("experiment", "chain_routing")
-      .set("algorithm", name)
-      .set("k", k)
-      .set("engine", "memo")
-      .set("chains", l3.num_paths)
-      .set("l3_max_hits", l3.max_hits)
-      .set("l3_bound", l3.bound)
-      .set("l4_exact", l4)
-      .set("t2_max_vertex_hits", t2.max_vertex_hits)
-      .set("t2_max_meta_hits", t2.max_meta_hits)
-      .set("t2_bound", t2.bound)
-      .set("ok", l3.ok() && l4 && t2.ok())
-      .set("seconds", run.seconds);
-  return run;
-}
-
-FreshRun run_decode(const bilinear::BilinearAlgorithm& alg,
-                    const std::string& name, int k) {
-  const routing::ChainRouter router(alg);
-  const routing::DecodeRouter decoder(alg);
-  const routing::MemoRoutingEngine memo(router, decoder);
-  const cdag::Cdag graph(alg, k, {.with_coefficients = false});
-  const cdag::SubComputation sub(graph, k, 0);
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::vector<std::uint64_t> hits = memo.decode_hits(sub);
-  const routing::HitStats stats = memo.verify_decode_routing(sub);
-  FreshRun run;
-  run.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                              t0)
-                    .count();
-  // The hit array itself feeds the obs counters / trace; the record
-  // carries the same summary fields as bench_routing.
-  (void)hits;
-  run.rec.set("experiment", "decode_routing")
-      .set("algorithm", name)
-      .set("k", k)
-      .set("engine", "memo")
-      .set("paths", stats.num_paths)
-      .set("max_hits", stats.max_hits)
-      .set("bound", stats.bound)
-      .set("ok", stats.ok())
-      .set("seconds", run.seconds);
-  return run;
-}
-
-/// Re-derives a distributed_scaling record: rebuilds the sweep point's
-/// spec from the committed baseline fields and reruns it on a fresh
-/// sparse superstep machine — the u64 machine counters must match the
-/// baseline exactly.
-FreshRun run_distributed_scaling(const obs::BenchRecord& ref) {
-  const parallel::ScalingSpec spec = parallel::scaling_spec_from_record(ref);
-  const auto t0 = std::chrono::steady_clock::now();
-  const parallel::ScalingPoint point = parallel::run_scaling_point(spec);
-  FreshRun run;
-  run.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  parallel::fill_scaling_record(point, run.rec);
-  run.rec.set("seconds", run.seconds);
-  return run;
-}
-
-/// Re-derives a schedule_search record: rebuilds the sweep spec from
-/// the committed baseline fields and reruns the whole pipeline (DFS /
-/// BFS baselines, local search, branch-and-bound) — every u64 counter,
-/// the certification verdict, and the witness digest must match the
-/// baseline exactly.
-FreshRun run_schedule_search(const obs::BenchRecord& ref) {
-  const search::SweepSpec spec = search::search_spec_from_record(ref);
-  const auto t0 = std::chrono::steady_clock::now();
-  const search::SweepPoint point = search::run_search_point(spec);
-  FreshRun run;
-  run.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  search::fill_search_record(point, run.rec);
-  run.rec.set("seconds", run.seconds);
-  return run;
-}
-
-/// A throwaway store directory for the service replays, removed when
-/// the gate exits.
-std::string gate_store_dir() {
-  return (std::filesystem::temp_directory_path() /
-          ("pr_bench_gate_service." + std::to_string(::getpid())))
-      .string();
-}
-
-/// Re-derives a service_cold_miss record: a fresh memory-only service
-/// answers the recorded (algorithm, k, chain) request from nothing.
-FreshRun run_service_cold(const obs::BenchRecord& ref) {
-  const std::string algorithm = ref.text_or("algorithm", "");
-  const int k = static_cast<int>(ref.int_or("k", 0));
-  service::CertificateService svc(service::ServiceConfig{});
-  const service::Request req{algorithm, k, service::CertKind::kChain};
-  const auto t0 = std::chrono::steady_clock::now();
-  const service::Response resp = svc.serve(req);
-  FreshRun run;
-  run.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  run.rec.set("experiment", "service_cold_miss")
-      .set("engine", "service")
-      .set("algorithm", algorithm)
-      .set("k", k)
-      .set("kind", service::kind_name(service::CertKind::kChain))
-      .set("ok", resp.ok)
-      .set("cached", resp.from_cache)
-      .set("seconds", run.seconds);
-  if (resp.ok) {
-    const auto& w = resp.certificate.words;
-    run.rec.set("chains", w[service::kChainNumChains])
-        .set("l3_max", w[service::kChainL3MaxHits])
-        .set("l3_bound", w[service::kChainL3Bound])
-        .set("l4", w[service::kChainL4Exact])
-        .set("has_fnv", w[service::kChainHasHitDigest])
-        .set("digest", resp.certificate.payload_digest);
-  }
-  return run;
-}
-
-/// Re-derives a service_trace / service_warm record: rebuilds the
-/// recorded Zipf trace from its seed and replays it against a fresh
-/// on-disk store (service_warm reopens the populated directory with a
-/// second service instance first, so every answer comes off mmap).
-FreshRun run_service_trace(const std::string& experiment,
-                           const obs::BenchRecord& ref) {
-  service::TraceSpec spec;
-  spec.seed = static_cast<std::uint64_t>(ref.int_or("seed", 0));
-  spec.num_requests = static_cast<std::uint64_t>(ref.int_or("requests", 0));
-  const std::vector<service::Request> trace = service::zipf_trace(spec);
-  service::ServiceConfig config;
-  config.store_dir = gate_store_dir() + "/" + experiment;
-  std::error_code ec;
-  std::filesystem::remove_all(config.store_dir, ec);
-  service::ReplayResult r;
-  {
-    service::CertificateService svc(config);
-    r = service::replay_trace(svc, trace, 1);
-  }
-  if (experiment == "service_warm") {
-    service::CertificateService reopened(config);
-    r = service::replay_trace(reopened, trace, 1);
-  }
-  FreshRun run;
-  run.seconds = r.seconds;
-  run.rec.set("experiment", experiment)
-      .set("engine", "service")
-      .set("seed", spec.seed)
-      .set("client_threads", 1)
-      .set("requests", r.requests)
-      .set("unique_keys", r.unique_keys)
-      .set("ok", r.ok)
-      .set("errors", r.errors)
-      .set("cache_hits", r.cache_hits)
-      .set("computed", r.computed)
-      .set("seconds", r.seconds);
-  return run;
 }
 
 }  // namespace
@@ -379,80 +227,45 @@ int main(int argc, char** argv) {
   }
   const obs::BenchFile& baseline = *parsed.file;
 
-  // Collect the memoized perfsmoke workloads, deduplicating repeated
-  // (experiment, algorithm, k) records across baseline runs.
+  // Collect the gated workloads, rebuilding each spec up front so a
+  // malformed record is rejected before anything runs.
   std::vector<Workload> workloads;
   std::map<std::string, std::size_t> index;
   int skipped_k = 0;
-  // The search bench's roll-up record: re-checked after the loop
-  // against counters accumulated over the fresh schedule_search runs.
-  const obs::BenchRecord* search_summary = nullptr;
-  for (const obs::BenchRecord& rec : baseline.records) {
+  for (std::size_t i = 0; i < baseline.records.size(); ++i) {
+    const obs::BenchRecord& rec = baseline.records[i];
     const std::string experiment = rec.text_or("experiment", "");
-    int k = 0;
-    if (experiment == "schedule_search_summary") {
-      if (search_summary != nullptr) {
-        std::fprintf(stderr,
-                     "pr_bench_gate: baseline has more than one "
-                     "schedule_search_summary record\n");
-        return 2;
-      }
-      search_summary = &rec;
+    const std::string engine = rec.text_or("engine", "");
+    const auto* row = std::find_if(
+        std::begin(kTable), std::end(kTable), [&](const Row& r) {
+          return experiment == r.experiment && engine == r.engine;
+        });
+    if (row == std::end(kTable)) continue;
+    if (row->kmax_applies && rec.int_or("k", 0) > opt.kmax) {
+      ++skipped_k;
       continue;
     }
-    if (service_experiment(experiment)) {
-      // Service workloads are re-run at their recorded size; --kmax
-      // does not apply (the cold-miss k is the point of the workload).
-      if (rec.text_or("engine", "") != "service") continue;
-      k = static_cast<int>(rec.int_or("k", 0));
-    } else if (experiment == "distributed_scaling") {
-      // Scaling sweep points re-run at their recorded spec; "k" is the
-      // grid (summa) or BFS-level count (caps), not a recursion rank,
-      // so --kmax does not apply.
-      if (rec.text_or("engine", "") != "machine") continue;
-      k = static_cast<int>(rec.int_or("k", 0));
-    } else if (experiment == "schedule_search") {
-      // Search points re-run at their recorded spec; "k" is the
-      // recursion depth r of G_r, gated by its own budget rather than
-      // --kmax (the committed matrix is already smoke-sized).
-      if (rec.text_or("engine", "") != "search") continue;
-      k = static_cast<int>(rec.int_or("k", 0));
-    } else {
-      if (experiment != "chain_routing" && experiment != "decode_routing") {
-        continue;
-      }
-      if (rec.text_or("engine", "") != "memo") continue;
-      k = static_cast<int>(rec.int_or("k", 0));
-      if (k < 1) continue;
-      if (k > opt.kmax) {
-        ++skipped_k;
-        continue;
-      }
-    }
-    const std::string algorithm = rec.text_or("algorithm", "");
-    std::string key = experiment;
-    key += '/';
-    key += algorithm;
-    key += '/';
-    key += std::to_string(k);
-    if (experiment == "schedule_search") {
-      // The search sweeps M at fixed (algorithm, r): the cache size is
-      // part of the workload identity.
-      key += "/m";
-      key += std::to_string(rec.int_or("m", 0));
-    }
+    const std::string key = experiment + '/' + rec.text_or("algorithm", "") +
+                            '/' + std::to_string(rec.int_or("k", 0)) + "/m" +
+                            std::to_string(rec.int_or("m", 0));
     const auto [it, inserted] = index.emplace(key, workloads.size());
     if (inserted) {
-      workloads.push_back(
-          {experiment, algorithm, k, &rec, seconds_of(rec)});
+      std::string error;
+      Rerun rerun = row->prepare(rec, error);
+      if (!rerun) {
+        std::fprintf(stderr, "pr_bench_gate: %s records[%zu] (%s): %s\n",
+                     opt.baseline.c_str(), i, experiment.c_str(),
+                     error.c_str());
+        return 2;
+      }
+      workloads.push_back({static_cast<std::size_t>(row - std::begin(kTable)),
+                           &rec, seconds_of(rec), std::move(rerun)});
       continue;
     }
     Workload& wl = workloads[it->second];
     wl.base_seconds = std::min(wl.base_seconds, seconds_of(rec));
-    // Baseline self-consistency: duplicate records must agree on every
-    // compared field (they are bit-identical across thread counts).
     for (const auto& [fkey, fval] : wl.reference->fields()) {
-      if (ignored_field(fkey)) continue;
+      if (soft(*row, fkey)) continue;
       const obs::BenchValue* other = rec.find(fkey);
       if (other == nullptr || other->json() != fval.json()) {
         std::fprintf(stderr,
@@ -465,12 +278,16 @@ int main(int argc, char** argv) {
   }
   if (workloads.empty()) {
     std::fprintf(stderr,
-                 "pr_bench_gate: baseline %s has no memoized "
-                 "chain_routing/decode_routing records with k <= %d and "
-                 "no service workloads\n",
+                 "pr_bench_gate: baseline %s has no gated records (routing "
+                 "records need k <= %d)\n",
                  opt.baseline.c_str(), opt.kmax);
     return 2;
   }
+  // Table order runs every roll-up after the points it sums.
+  std::stable_sort(workloads.begin(), workloads.end(),
+                   [](const Workload& a, const Workload& b) {
+                     return a.row < b.row;
+                   });
 
   // Trace and count the fresh runs regardless of env: the artifact CI
   // uploads should never be silently empty.
@@ -504,140 +321,87 @@ int main(int argc, char** argv) {
 
   int count_failures = 0;
   int slow_failures = 0;
-  std::uint64_t fresh_search_instances = 0;
-  std::uint64_t fresh_search_certified = 0;
+  std::vector<obs::BenchRecord> fresh_records;
+  fresh_records.reserve(workloads.size());
   for (const Workload& wl : workloads) {
-    FreshRun fresh;
-    if (wl.experiment == "service_cold_miss") {
-      fresh = run_service_cold(*wl.reference);
-    } else if (service_experiment(wl.experiment)) {
-      fresh = run_service_trace(wl.experiment, *wl.reference);
-    } else if (wl.experiment == "distributed_scaling") {
-      fresh = run_distributed_scaling(*wl.reference);
-    } else if (wl.experiment == "schedule_search") {
-      fresh = run_schedule_search(*wl.reference);
-      ++fresh_search_instances;
-      const obs::BenchValue* cert = fresh.rec.find("certified");
-      if (cert != nullptr && cert->bool_value) ++fresh_search_certified;
-    } else {
-      const auto alg = bilinear::by_name(wl.algorithm);
-      if (wl.experiment == "decode_routing" &&
-          bilinear::decoding_components(alg) != 1) {
-        // Claim 1 needs a connected decoding graph; a baseline recording
-        // such a workload predates that check — flag, don't crash.
-        std::printf("SKIP %s %s k=%d: decoding graph is disconnected\n",
-                    wl.experiment.c_str(), wl.algorithm.c_str(), wl.k);
-        report.records.emplace_back();
-        report.records.back()
-            .set("experiment", wl.experiment)
-            .set("algorithm", wl.algorithm)
-            .set("k", wl.k)
-            .set("status", "skipped");
-        continue;
+    const Row& row = kTable[wl.row];
+    const obs::BenchRecord& base = *wl.reference;
+    const std::string algorithm = base.text_or("algorithm", "");
+    const auto k = static_cast<int>(base.int_or("k", 0));
+    fresh_records.push_back(wl.rerun(fresh_records));
+    obs::BenchRecord& fresh = fresh_records.back();
+    // --self-test-pessimize corrupts the record, never the engines.
+    const double seconds = (opt.pessimize ? 100.0 : 1.0) * seconds_of(fresh);
+
+    std::vector<std::string> mismatched;
+    const auto mismatch = [&](const std::string& field,
+                              const std::string& what) {
+      if (std::find(mismatched.begin(), mismatched.end(), field) ==
+          mismatched.end()) {
+        mismatched.push_back(field);
       }
-      fresh = wl.experiment == "chain_routing"
-                  ? run_chain(alg, wl.algorithm, wl.k)
-                  : run_decode(alg, wl.algorithm, wl.k);
-    }
+      std::printf("FAIL %s %s k=%d: %s %s\n", row.experiment,
+                  algorithm.c_str(), k, field.c_str(), what.c_str());
+    };
     if (opt.pessimize) {
-      // Corrupt the record (never the engines): prove the diff fires.
-      fresh.seconds *= 100.0;
-      fresh.rec.set("seconds", fresh.seconds);
-      const char* hit_key = wl.experiment == "chain_routing" ? "l3_max_hits"
-                            : wl.experiment == "decode_routing" ? "max_hits"
-                            : wl.experiment == "service_cold_miss" ? "chains"
-                            : wl.experiment == "distributed_scaling"
-                                ? "bandwidth_cost"
-                            : wl.experiment == "schedule_search"
-                                ? "searched_io"
-                                : "cache_hits";
-      const obs::BenchValue* v = fresh.rec.find(hit_key);
-      fresh.rec.set(hit_key,
-                    static_cast<std::uint64_t>(v->int_value) + 1);
+      fresh.set("seconds", seconds);
+      const obs::BenchValue* v = fresh.find(row.pessimize);
+      if (v == nullptr || v->kind != obs::BenchValue::Kind::kInt) {
+        mismatch(row.pessimize,
+                 "(pessimize field) missing or not an integer in the fresh "
+                 "record");
+      } else {
+        fresh.set(row.pessimize, static_cast<std::uint64_t>(v->int_value) + 1);
+      }
     }
 
-    // Exact comparison of every tracked (count/verdict) field.
-    std::string mismatched;
-    for (const auto& [fkey, fval] : wl.reference->fields()) {
-      if (ignored_field(fkey)) continue;
-      const obs::BenchValue* fresh_v = fresh.rec.find(fkey);
+    // Exact comparison of every field the row does not declare soft.
+    for (const auto& [fkey, fval] : base.fields()) {
+      if (soft(row, fkey)) continue;
+      const obs::BenchValue* fresh_v = fresh.find(fkey);
       if (fresh_v == nullptr || fresh_v->json() != fval.json()) {
-        if (!mismatched.empty()) mismatched += ",";
-        mismatched += fkey;
-        std::printf("FAIL %s %s k=%d: %s baseline=%s fresh=%s\n",
-                    wl.experiment.c_str(), wl.algorithm.c_str(), wl.k,
-                    fkey.c_str(), fval.json().c_str(),
-                    fresh_v == nullptr ? "<missing>"
-                                       : fresh_v->json().c_str());
+        const std::string got =
+            fresh_v == nullptr ? "<missing>" : fresh_v->json();
+        mismatch(fkey, "baseline=" + fval.json() + " fresh=" + got);
       }
     }
 
     const double allowed =
         std::max(wl.base_seconds * opt.tolerance, opt.min_seconds);
-    const bool slow = fresh.seconds > allowed;
-    const double ratio =
-        wl.base_seconds > 0 ? fresh.seconds / wl.base_seconds : 0.0;
+    const bool slow = seconds > allowed;
+    const double ratio = wl.base_seconds > 0 ? seconds / wl.base_seconds : 0.0;
     if (slow) {
       std::printf(
           "FAIL %s %s k=%d: seconds %.6f vs baseline %.6f "
           "(%.1fx, allowed %.6f)\n",
-          wl.experiment.c_str(), wl.algorithm.c_str(), wl.k, fresh.seconds,
-          wl.base_seconds, ratio, allowed);
+          row.experiment, algorithm.c_str(), k, seconds, wl.base_seconds,
+          ratio, allowed);
       ++slow_failures;
     }
     if (!mismatched.empty()) ++count_failures;
     if (mismatched.empty() && !slow) {
-      std::printf("ok   %s %s k=%d (%.6fs, baseline %.6fs)\n",
-                  wl.experiment.c_str(), wl.algorithm.c_str(), wl.k,
-                  fresh.seconds, wl.base_seconds);
+      std::printf("ok   %s %s k=%d (%.6fs, baseline %.6fs)\n", row.experiment,
+                  algorithm.c_str(), k, seconds, wl.base_seconds);
     }
 
     report.records.emplace_back();
     auto& rrec = report.records.back()
-                     .set("experiment", wl.experiment)
-                     .set("algorithm", wl.algorithm)
-                     .set("k", wl.k)
+                     .set("experiment", row.experiment)
+                     .set("algorithm", algorithm)
+                     .set("k", k)
                      .set("status", !mismatched.empty() ? "count-mismatch"
                                     : slow              ? "slow"
                                                         : "ok")
                      .set("baseline_seconds", wl.base_seconds)
-                     .set("seconds", fresh.seconds)
+                     .set("seconds", seconds)
                      .set("ratio", ratio);
-    if (!mismatched.empty()) rrec.set("fields_mismatched", mismatched);
-  }
-
-  // Roll-up check: the baseline's certified-optimal count must be
-  // exactly reproduced by the fresh runs — a silently lost certificate
-  // is a determinism break even if no single record mismatched.
-  if (search_summary != nullptr) {
-    const std::uint64_t base_instances =
-        static_cast<std::uint64_t>(search_summary->int_or("instances", 0));
-    const std::uint64_t base_certified = static_cast<std::uint64_t>(
-        search_summary->int_or("certified_count", 0));
-    if (opt.pessimize) ++fresh_search_certified;
-    const bool summary_ok = base_instances == fresh_search_instances &&
-                            base_certified == fresh_search_certified;
-    if (!summary_ok) {
-      std::printf(
-          "FAIL schedule_search_summary: instances baseline=%llu fresh=%llu, "
-          "certified_count baseline=%llu fresh=%llu\n",
-          static_cast<unsigned long long>(base_instances),
-          static_cast<unsigned long long>(fresh_search_instances),
-          static_cast<unsigned long long>(base_certified),
-          static_cast<unsigned long long>(fresh_search_certified));
-      ++count_failures;
-    } else {
-      std::printf("ok   schedule_search_summary (%llu instances, %llu "
-                  "certified optimal)\n",
-                  static_cast<unsigned long long>(fresh_search_instances),
-                  static_cast<unsigned long long>(fresh_search_certified));
+    if (!mismatched.empty()) {
+      std::string fields;
+      for (const std::string& f : mismatched) {
+        fields += (fields.empty() ? "" : ",") + f;
+      }
+      rrec.set("fields_mismatched", fields);
     }
-    report.records.emplace_back();
-    report.records.back()
-        .set("experiment", "schedule_search_summary")
-        .set("instances", fresh_search_instances)
-        .set("certified_count", fresh_search_certified)
-        .set("status", summary_ok ? "ok" : "count-mismatch");
   }
 
   obs::finalize_records(report, git_commit());
@@ -656,8 +420,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   obs::write_env_outputs("gate_metrics", git_commit());
-  std::error_code cleanup_ec;
-  std::filesystem::remove_all(gate_store_dir(), cleanup_ec);
 
   const char* verdict = count_failures > 0  ? "FAILED"
                         : slow_failures > 0 ? "SLOW"
