@@ -1,7 +1,9 @@
 #include "pathrouting/pebble/cache_sim.hpp"
 
 #include <algorithm>
+#include <functional>
 
+#include "pathrouting/obs/obs.hpp"
 #include "pathrouting/pebble/policies.hpp"
 
 namespace pathrouting::pebble {
@@ -35,7 +37,10 @@ UseLists build_use_lists(const Graph& graph,
   return uses;
 }
 
-template <typename Policy>
+/// `Order` ranks resident values by their policy key: std::greater<>
+/// over next-use steps for Belady, std::less<> over the touch clock for
+/// LRU (policies.hpp).
+template <typename Order>
 PebbleResult run(const Graph& graph, std::span<const VertexId> schedule,
                  const PebbleOptions& options,
                  const std::function<bool(VertexId)>& is_output) {
@@ -44,13 +49,14 @@ PebbleResult run(const Graph& graph, std::span<const VertexId> schedule,
   const UseLists uses = build_use_lists(graph, schedule);
   std::vector<std::uint32_t> use_ptr(uses.off.begin(), uses.off.end() - 1);
 
-  Policy policy(n);
-  std::vector<std::uint8_t> in_cache(n, 0), dirty(n, 0), written(n, 0);
+  ResidentSet<Order> resident(n, m);
+  std::vector<std::uint8_t> dirty(n, 0), written(n, 0);
   // Inputs have a slow-memory copy from the start.
   for (VertexId v = 0; v < n; ++v) written[v] = graph.in_degree(v) == 0;
   std::vector<std::uint32_t> pin_stamp(n, 0);
   std::vector<std::uint32_t> next_use(n, 0);
-  std::uint64_t cached = 0;
+  const bool lru = options.eviction == Eviction::Lru;
+  std::uint64_t touch_clock = 0;
   PebbleResult result;
   result.steps = schedule.size();
 
@@ -62,7 +68,9 @@ PebbleResult run(const Graph& graph, std::span<const VertexId> schedule,
   std::vector<std::uint32_t> birth_segment;
   std::uint32_t current_segment = 0;
   if (segmented) {
-    PR_REQUIRE(std::is_sorted(ends.begin(), ends.end()));
+    PR_REQUIRE_MSG(std::adjacent_find(ends.begin(), ends.end(),
+                                      std::greater_equal<>()) == ends.end(),
+                   "segment ends must be strictly increasing");
     PR_REQUIRE(ends.back() == schedule.size());
     result.segment_reads.assign(ends.size(), 0);
     result.segment_writes.assign(ends.size(), 0);
@@ -84,17 +92,13 @@ PebbleResult run(const Graph& graph, std::span<const VertexId> schedule,
 
   const auto note_access = [&](VertexId v, std::uint64_t nu) {
     next_use[v] = nu == kNeverUsed ? UINT32_MAX : static_cast<std::uint32_t>(nu);
-    if constexpr (std::is_same_v<Policy, LruPolicy>) {
-      policy.touch(v);
-    } else {
-      policy.update(v, nu);
-    }
+    ++touch_clock;
+    resident.set(v, lru ? touch_clock : nu);
   };
 
   const auto evict_one = [&](std::uint32_t stamp) {
     const VertexId victim =
-        policy.pick([&](VertexId u) { return in_cache[u] != 0; },
-                    [&](VertexId u) { return pin_stamp[u] == stamp; });
+        resident.pick([&](VertexId u) { return pin_stamp[u] == stamp; });
     if (dirty[victim] &&
         (next_use[victim] != UINT32_MAX ||
          (is_output(victim) && !written[victim]))) {
@@ -107,8 +111,7 @@ PebbleResult run(const Graph& graph, std::span<const VertexId> schedule,
       ++result.evictions_clean;
     }
     dirty[victim] = 0;
-    in_cache[victim] = 0;
-    --cached;
+    resident.erase(victim);
   };
 
   for (std::uint32_t s = 0; s < schedule.size(); ++s) {
@@ -122,36 +125,32 @@ PebbleResult run(const Graph& graph, std::span<const VertexId> schedule,
     for (const VertexId p : preds) pin_stamp[p] = stamp;
     // Stage operands; each read needs a slow-memory copy to exist.
     for (const VertexId p : preds) {
-      if (!in_cache[p]) {
+      if (!resident.contains(p)) {
         PR_ASSERT_MSG(written[p],
                       "operand neither cached nor in slow memory: schedule "
                       "is not topological");
-        while (cached >= m) evict_one(stamp);
+        while (resident.size() >= m) evict_one(stamp);
         ++result.reads;
         charge_step();
         if (segmented) ++result.segment_reads[current_segment];
-        in_cache[p] = 1;
         dirty[p] = 0;
-        ++cached;
       }
       note_access(p, advance_next_use(p, s));
     }
     // Compute v into cache.
-    PR_ASSERT_MSG(!in_cache[v], "vertex computed twice");
+    PR_ASSERT_MSG(!resident.contains(v), "vertex computed twice");
     pin_stamp[v] = stamp;
-    while (cached >= m) evict_one(stamp);
-    in_cache[v] = 1;
+    while (resident.size() >= m) evict_one(stamp);
     dirty[v] = 1;
     if (segmented) birth_segment[v] = current_segment;
-    ++cached;
-    result.peak_cached = std::max(result.peak_cached, cached);
     note_access(v, advance_next_use(v, s));
+    result.peak_cached = std::max(result.peak_cached, resident.size());
   }
 
   // Halt: flush outputs that never reached slow memory.
   for (VertexId v = 0; v < n; ++v) {
     if (is_output(v) && !written[v]) {
-      PR_ASSERT_MSG(in_cache[v] && dirty[v], "lost output value");
+      PR_ASSERT_MSG(resident.contains(v) && dirty[v], "lost output value");
       ++result.writes;
       charge_step();
       if (segmented) ++result.segment_writes[birth_segment[v]];
@@ -167,10 +166,20 @@ PebbleResult simulate(const Graph& graph, std::span<const VertexId> schedule,
                       const PebbleOptions& options,
                       const std::function<bool(VertexId)>& is_output) {
   PR_REQUIRE(options.cache_size >= 2);
-  if (options.eviction == Eviction::Belady) {
-    return run<BeladyPolicy>(graph, schedule, options, is_output);
-  }
-  return run<LruPolicy>(graph, schedule, options, is_output);
+  const obs::TraceSpan span("pebble.simulate");
+  static obs::Counter obs_runs("pebble.runs");
+  static obs::Counter obs_reads("pebble.reads");
+  static obs::Counter obs_writes("pebble.writes");
+  static obs::Counter obs_evictions("pebble.evictions");
+  PebbleResult result =
+      options.eviction == Eviction::Belady
+          ? run<std::greater<>>(graph, schedule, options, is_output)
+          : run<std::less<>>(graph, schedule, options, is_output);
+  obs_runs.add();
+  obs_reads.add(result.reads);
+  obs_writes.add(result.writes);
+  obs_evictions.add(result.evictions_dirty + result.evictions_clean);
+  return result;
 }
 
 }  // namespace pathrouting::pebble

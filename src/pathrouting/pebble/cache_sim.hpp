@@ -16,12 +16,19 @@
 // computed vertices) and an eviction policy, and reports exact read /
 // write counts. Belady's policy (evict the value used furthest in the
 // future, preferring dead values) is the strong baseline; LRU is the
-// practical comparison for the ablation experiments.
+// practical comparison for the ablation experiments. Both policies run
+// on one M-bounded resident set (policies.hpp) that holds only the
+// cached values, keyed by next use (Belady) or last touch (LRU), so a
+// step costs O(in-degree * log M) whatever the graph size.
 //
 // Victim ties (equal eviction key) break deterministically to the
 // lowest VertexId (policies.hpp). Counts are therefore a pure function
 // of (graph, schedule, M, policy) on every platform — the contract the
 // golden corpus and the schedule-search certificates pin.
+//
+// Observability: each call is one "pebble.simulate" span and adds its
+// totals once to the counters pebble.runs, pebble.reads, pebble.writes
+// and pebble.evictions.
 #pragma once
 
 #include <cstdint>

@@ -53,6 +53,19 @@ TEST(DeathTest, CacheTooSmallAborts) {
                "cache too small");
 }
 
+TEST(DeathTest, RepeatedSegmentEndAborts) {
+  const cdag::Cdag graph(bilinear::strassen(), 2, {.with_coefficients = false});
+  const auto order = schedule::dfs_schedule(graph);
+  const auto len = static_cast<std::uint32_t>(order.size());
+  // A repeated end names an empty segment; the steps after it would be
+  // charged to the wrong segment.
+  pebble::PebbleOptions opts{.cache_size = 64};
+  opts.segment_ends = {2, 2, len};
+  EXPECT_DEATH(pebble::simulate(graph.graph(), order, opts,
+                                [](cdag::VertexId) { return false; }),
+               "strictly increasing");
+}
+
 TEST(DeathTest, ScheduleWithInputsAborts) {
   const cdag::Cdag graph(bilinear::strassen(), 2, {.with_coefficients = false});
   auto order = schedule::dfs_schedule(graph);

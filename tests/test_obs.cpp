@@ -11,9 +11,13 @@
 #include <string>
 #include <vector>
 
+#include "pathrouting/bilinear/catalog.hpp"
+#include "pathrouting/cdag/cdag.hpp"
 #include "pathrouting/obs/bench_record.hpp"
 #include "pathrouting/obs/export.hpp"
 #include "pathrouting/obs/obs.hpp"
+#include "pathrouting/pebble/cache_sim.hpp"
+#include "pathrouting/schedule/schedules.hpp"
 #include "pathrouting/support/parallel.hpp"
 
 // ---------------------------------------------------------------------
@@ -173,6 +177,64 @@ TEST_F(ObsTest, SnapshotIsNameOrderedAndMergesDuplicates) {
     EXPECT_LT(snap[i - 1].name, snap[i].name) << "snapshot not sorted";
   }
   EXPECT_EQ(counter_value("test.dup"), 7u);
+}
+
+// ---------------------------------------------------------------------
+// The pebble layer: one span and one update per counter per simulate
+// call, summing to the returned totals even when calls run in parallel.
+// ---------------------------------------------------------------------
+
+TEST_F(ObsTest, PebbleCountersSumSimulatedTotals) {
+  const cdag::Cdag cdag(bilinear::strassen(), 2,
+                        {.with_coefficients = false});
+  const auto is_out = [&](cdag::VertexId v) {
+    return cdag.layout().is_output(v);
+  };
+  const std::vector<cdag::VertexId> order = schedule::dfs_schedule(cdag);
+  constexpr std::uint64_t kRuns = 12;
+  const auto options = [](std::uint64_t i) {
+    return pebble::PebbleOptions{
+        .cache_size = 5 + 3 * (i / 2),
+        .eviction = i % 2 == 0 ? pebble::Eviction::Belady
+                               : pebble::Eviction::Lru};
+  };
+  std::uint64_t reads = 0, writes = 0, evictions = 0;
+  for (std::uint64_t i = 0; i < kRuns; ++i) {
+    const pebble::PebbleResult res =
+        pebble::simulate(cdag.graph(), order, options(i), is_out);
+    reads += res.reads;
+    writes += res.writes;
+    evictions += res.evictions_dirty + res.evictions_clean;
+  }
+  ASSERT_GT(evictions, 0u);
+  const auto run_all = [&] {
+    const par::ThreadOverride threads(4);
+    par::parallel_for(0, kRuns, 1, [&](std::uint64_t lo, std::uint64_t hi) {
+      for (std::uint64_t i = lo; i < hi; ++i) {
+        (void)pebble::simulate(cdag.graph(), order, options(i), is_out);
+      }
+    });
+  };
+
+  obs::reset_counters();
+  run_all();
+  obs::set_enabled(true);
+  EXPECT_EQ(counter_value("pebble.runs"), 0u);
+  EXPECT_EQ(counter_value("pebble.reads"), 0u);
+  EXPECT_EQ(counter_value("pebble.writes"), 0u);
+  EXPECT_EQ(counter_value("pebble.evictions"), 0u);
+
+  obs::clear_spans();
+  run_all();
+  EXPECT_EQ(counter_value("pebble.runs"), kRuns);
+  EXPECT_EQ(counter_value("pebble.reads"), reads);
+  EXPECT_EQ(counter_value("pebble.writes"), writes);
+  EXPECT_EQ(counter_value("pebble.evictions"), evictions);
+  std::uint64_t spans = 0;
+  for (const obs::SpanRecord& span : obs::spans_snapshot()) {
+    spans += std::string(span.name) == "pebble.simulate";
+  }
+  EXPECT_EQ(spans, kRuns);
 }
 
 // ---------------------------------------------------------------------

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 
 #include "pathrouting/bilinear/catalog.hpp"
 #include "pathrouting/cdag/cdag.hpp"
@@ -265,3 +266,49 @@ TEST(PebbleTest, LruExactCountsOnCatalogDfs) {
 }
 
 }  // namespace tie_break_tests
+
+namespace scale_pin_tests {
+
+using namespace pathrouting;          // NOLINT
+using namespace pathrouting::pebble;  // NOLINT
+using cdag::VertexId;
+
+TEST(PebbleTest, ExactCountsOnStrassenG5DfsAndRandomOrders) {
+  // Both policies on a 113553-vertex CDAG, over the DFS order and a
+  // seeded random topological order, at a tight and a roomy cache:
+  // every eviction decision of the resident set is pinned in bulk.
+  const cdag::Cdag cdag(bilinear::strassen(), 5,
+                        {.with_coefficients = false});
+  const auto is_out = [&](VertexId v) { return cdag.layout().is_output(v); };
+  const auto dfs = schedule::dfs_schedule(cdag);
+  const auto rnd = schedule::random_topological_schedule(cdag.graph(),
+                                                         20261017);
+  struct Pin {
+    const std::vector<VertexId>* order;
+    std::uint64_t m;
+    Eviction eviction;
+    std::uint64_t reads, writes;
+  };
+  const Pin pins[] = {
+      {&dfs, 8, Eviction::Belady, 118976, 59541},
+      {&dfs, 8, Eviction::Lru, 167787, 75490},
+      {&dfs, 64, Eviction::Belady, 43936, 20194},
+      {&dfs, 64, Eviction::Lru, 85222, 40112},
+      {&rnd, 8, Eviction::Belady, 218360, 111028},
+      {&rnd, 8, Eviction::Lru, 222875, 111494},
+      {&rnd, 64, Eviction::Belady, 201827, 108547},
+      {&rnd, 64, Eviction::Lru, 221964, 111388},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE((pin.order == &dfs ? "dfs" : "random") +
+                 std::string(" M=") + std::to_string(pin.m) +
+                 (pin.eviction == Eviction::Lru ? " lru" : " belady"));
+    const auto res =
+        simulate(cdag.graph(), *pin.order,
+                 {.cache_size = pin.m, .eviction = pin.eviction}, is_out);
+    EXPECT_EQ(res.reads, pin.reads);
+    EXPECT_EQ(res.writes, pin.writes);
+  }
+}
+
+}  // namespace scale_pin_tests
