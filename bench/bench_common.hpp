@@ -33,17 +33,6 @@ inline void print_banner(const std::string& experiment,
   std::printf("\n=== %s ===\n%s\n\n", experiment.c_str(), claim.c_str());
 }
 
-/// The git commit the bench binary was built from (the top-level
-/// CMakeLists bakes in `git rev-parse --short HEAD`), so committed
-/// BENCH_*.json files record which code produced them.
-inline const char* git_commit() {
-#ifdef PR_GIT_COMMIT
-  return PR_GIT_COMMIT;
-#else
-  return "unknown";
-#endif
-}
-
 /// Machine-readable bench results on the unified record schema
 /// (obs/bench_record.hpp). Collects flat key/value records and writes
 /// them to `BENCH_<name>.json` in the working directory (or
@@ -77,7 +66,7 @@ class BenchJson {
     if (written_) return;
     written_ = true;
     file_.threads = support::parallel::num_threads();
-    obs::finalize_records(file_, git_commit());
+    obs::finalize_records(file_, obs::git_commit());
     std::string dir;
     if (const char* env = std::getenv("PR_BENCH_JSON_DIR")) {
       dir = std::string(env) + "/";

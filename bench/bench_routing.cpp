@@ -309,7 +309,7 @@ int main(int argc, char** argv) {
   // dumps the spans as a chrome://tracing file and PR_METRICS_OUT the
   // obs counters in the BENCH record schema (see README
   // "Observability").
-  obs::write_env_outputs("routing_metrics", bench::git_commit());
+  obs::write_env_outputs("routing_metrics", obs::git_commit());
 
   if (failed) {
     std::fprintf(stderr,

@@ -22,7 +22,7 @@ AuditReport run_all(const cdag::Cdag& cdag, const RunAllOptions& options) {
   const int r = layout.r();
   const RuleSelection& selection = options.selection;
 
-  AuditReport report = audit_cdag(cdag, selection);
+  AuditReport report = audit_cdag(cdag::ExplicitView(cdag), selection);
 
   if (!cdag.grouped_duplicates() && r >= 1) {
     // The implicit view models the ungrouped Section-3 builder output;
@@ -138,7 +138,7 @@ namespace {
 
 void cdag_built_hook(const void* object) {
   const auto* built = static_cast<const cdag::Cdag*>(object);
-  const AuditReport report = audit_cdag(*built);
+  const AuditReport report = audit_cdag(cdag::ExplicitView(*built));
   if (!report.ok()) {
     std::fputs(report.to_text().c_str(), stderr);
   }

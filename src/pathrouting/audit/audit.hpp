@@ -4,14 +4,17 @@
 // Diagnostics (audit/diagnostic.hpp) instead of aborting.
 //
 // Suites shard deterministically over the parallel substrate
-// (support/parallel.hpp): rules run as fixed chunks and reports fold in
-// registry order, so the output is bit-identical at any PR_THREADS.
+// (support/parallel.hpp): rules or vertex ranges run as fixed chunks
+// and findings fold in chunk and registry order, so the output is
+// bit-identical at any PR_THREADS.
 // Congestion counts reuse the exactly-commutative sharded accumulation
 // the routing verifiers use.
 //
-// Rule suites take *views* (plain spans over the structure) rather than
-// the owning objects, so tests can assemble deliberately corrupted
-// structures and assert that the right rule fires on the right vertex.
+// Rule suites take *views* rather than the owning objects, so tests can
+// assemble deliberately corrupted structures and assert that the right
+// rule fires on the right vertex: the cdag.* suite reads a
+// cdag::CdagView (a test substitutes a fake over mutated tables), the
+// other suites read plain spans.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +27,7 @@
 #include "pathrouting/bounds/segment_certifier.hpp"
 #include "pathrouting/cdag/cdag.hpp"
 #include "pathrouting/cdag/subcomputation.hpp"
+#include "pathrouting/cdag/view.hpp"
 #include "pathrouting/routing/chain_routing.hpp"
 #include "pathrouting/routing/decode_routing.hpp"
 #include "pathrouting/routing/memo_routing.hpp"
@@ -32,24 +36,6 @@
 namespace pathrouting::audit {
 
 using cdag::VertexId;
-
-/// A borrowed view of a CDAG's structure: the graph, the vertex
-/// addressing, and the copy/meta tables. All spans are indexed by
-/// vertex id (in_coeff by global in-edge index) and may be empty when
-/// the corresponding structure was not built. The view does not own
-/// anything; keep the backing storage alive.
-struct CdagView {
-  const cdag::Graph* graph = nullptr;
-  const cdag::Layout* layout = nullptr;
-  std::span<const VertexId> copy_parent;
-  std::span<const VertexId> meta_root;
-  std::span<const std::uint32_t> meta_size;
-  std::span<const support::Rational> in_coeff;
-  bool grouped_duplicates = false;
-};
-
-/// The view of a library-built CDAG (no copies; borrows from `cdag`).
-CdagView view_of(const cdag::Cdag& cdag);
 
 /// A family of routed paths in CSR form: path i is
 /// vertices[offsets[i] .. offsets[i+1]). Optional per-path declared
@@ -68,21 +54,14 @@ struct PathFamily {
   bool undirected = false;
 };
 
-/// Structural audit of the CDAG (cdag.* rules).
-AuditReport audit_cdag(const CdagView& view,
+/// Structural audit of the CDAG (cdag.* rules), one per-vertex scan over
+/// any view. The scan is exhaustive when the view has explicit edges or
+/// at most 2^20 vertices; above that it checks a deterministic stride
+/// sample, and notes record the sample size and the skipped meta-root
+/// membership recount. A view that wraps a Cdag also gets global
+/// in-edge indices on findings and the copy-edge coefficient check.
+AuditReport audit_cdag(const cdag::CdagView& view,
                        const RuleSelection& selection = RuleSelection::all());
-AuditReport audit_cdag(const cdag::Cdag& cdag,
-                       const RuleSelection& selection = RuleSelection::all());
-
-/// Structural audit through the polymorphic cdag::CdagView (NOT the
-/// borrowed-span audit::CdagView above). Explicit-backed views delegate
-/// to the exhaustive suite; implicit views run the per-vertex subset of
-/// the cdag.* rules over a deterministic sample, and the clauses that
-/// need whole-graph arrays (the meta-root membership recount) are
-/// skipped with a kNote instead of silently passing.
-AuditReport audit_cdag_view(
-    const cdag::CdagView& view,
-    const RuleSelection& selection = RuleSelection::all());
 
 /// cdag.view-consistency: exhaustive per-vertex comparison of a view
 /// against an explicit reference Cdag of the same (algorithm, r) —
@@ -99,7 +78,7 @@ PathFamily family_view(const routing::PathStore& store);
 
 /// Generic path-family audit (routing.* rules except chain-count).
 AuditReport audit_path_family(
-    const CdagView& view, const PathFamily& family,
+    const cdag::Graph& graph, const PathFamily& family,
     const RuleSelection& selection = RuleSelection::all());
 
 /// Fact 1: audits a copy-renaming block table against the canonical

@@ -18,6 +18,12 @@ namespace pathrouting::audit::internal {
 /// offenders plus the total, not ten million lines.
 inline constexpr std::uint64_t kMaxFindingsPerRule = 16;
 
+/// Vertices per fixed chunk of the per-vertex parallel scans. Chunk
+/// boundaries are part of the deterministic-output contract (findings
+/// survive the cap in chunk order), so this is a constant, not a
+/// tuning knob.
+inline constexpr std::uint64_t kScanGrain = 1 << 16;
+
 /// Per-chunk finding accumulator. Chunks collect at most the cap (plus
 /// the exact violation count); merging keeps the earliest findings in
 /// chunk order, so the surviving diagnostics are the ones with the
@@ -38,26 +44,6 @@ struct Findings {
     }
   }
 };
-
-/// Emits a rule's findings into the report (if the rule is selected):
-/// marks the rule as run, appends the capped diagnostics, and records a
-/// note when the cap truncated the full violation count.
-inline void flush(AuditReport& report, const RuleSelection& selection,
-                  std::string_view rule, Findings findings) {
-  if (!selection.enabled(rule)) return;
-  report.mark_rule_run(std::string(rule));
-  const std::uint64_t kept = findings.diags.size();
-  for (Diagnostic& diag : findings.diags) report.add(std::move(diag));
-  if (findings.total > kept) {
-    Diagnostic note;
-    note.rule = std::string(rule);
-    note.severity = Severity::kNote;
-    note.message = "further findings suppressed (showing first " +
-                   std::to_string(kept) + " of " +
-                   std::to_string(findings.total) + ")";
-    report.add(note);
-  }
-}
 
 /// Shorthand for a one-line error diagnostic.
 inline Diagnostic error(std::string_view rule, std::string message,
@@ -81,6 +67,29 @@ inline Diagnostic error_counts(std::string_view rule, std::string message,
   diag.actual = actual;
   diag.has_counts = true;
   return diag;
+}
+
+/// Shorthand for a note: context a report carries beside its errors.
+inline Diagnostic note(std::string_view rule, std::string message) {
+  Diagnostic diag = error(rule, std::move(message));
+  diag.severity = Severity::kNote;
+  return diag;
+}
+
+/// Emits a rule's findings into the report (if the rule is selected):
+/// marks the rule as run, appends the capped diagnostics, and records a
+/// note when the cap truncated the full violation count.
+inline void flush(AuditReport& report, const RuleSelection& selection,
+                  std::string_view rule, Findings findings) {
+  if (!selection.enabled(rule)) return;
+  report.mark_rule_run(std::string(rule));
+  const std::uint64_t kept = findings.diags.size();
+  for (Diagnostic& diag : findings.diags) report.add(std::move(diag));
+  if (findings.total > kept) {
+    report.add(note(rule, "further findings suppressed (showing first " +
+                              std::to_string(kept) + " of " +
+                              std::to_string(findings.total) + ")"));
+  }
 }
 
 }  // namespace pathrouting::audit::internal

@@ -136,9 +136,8 @@ std::vector<std::uint64_t> streamed_hits(std::uint64_t num_indices,
 
 }  // namespace
 
-AuditReport audit_path_family(const CdagView& view, const PathFamily& family,
+AuditReport audit_path_family(const Graph& graph, const PathFamily& family,
                               const RuleSelection& selection) {
-  PR_REQUIRE_MSG(view.graph != nullptr, "audit_path_family: view has no graph");
   PR_REQUIRE_MSG(!family.offsets.empty(),
                  "audit_path_family: offsets must have |paths|+1 entries");
   for (std::size_t i = 0; i + 1 < family.offsets.size(); ++i) {
@@ -147,7 +146,6 @@ AuditReport audit_path_family(const CdagView& view, const PathFamily& family,
   }
   PR_REQUIRE_MSG(family.offsets.back() == family.vertices.size(),
                  "audit_path_family: offsets must cover the vertex array");
-  const Graph& graph = *view.graph;
   const std::uint64_t num_paths = family.offsets.size() - 1;
   const std::uint64_t n = graph.num_vertices();
   AuditReport report;

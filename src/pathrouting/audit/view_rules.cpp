@@ -1,12 +1,7 @@
-// View-capable audit rules: the per-vertex subset of the cdag.* suite
-// evaluated through a cdag::CdagView (so implicit graphs audit without
-// whole-graph arrays), the exhaustive implicit-vs-explicit consistency
-// rule (cdag.view-consistency), and the implicit routing engine
-// reconciliation (routing.implicit-match).
-//
-// NOTE: audit::CdagView (the borrowed-span struct in audit.hpp) and
-// cdag::CdagView (the polymorphic graph interface) are different types;
-// everything here qualifies the latter explicitly.
+// Reconciliations of a cdag::CdagView against the explicit structures:
+// the exhaustive implicit-vs-explicit consistency rule
+// (cdag.view-consistency) and the implicit routing engine check
+// (routing.implicit-match).
 #include <string>
 #include <vector>
 
@@ -20,234 +15,11 @@ namespace pathrouting::audit {
 namespace {
 
 namespace parallel = support::parallel;
-using cdag::kInvalidVertex;
-using cdag::LayerKind;
-using cdag::Layout;
-using cdag::VertexRef;
 using internal::error;
 using internal::error_counts;
 using internal::Findings;
 using internal::flush;
-
-constexpr std::uint64_t kScanGrain = 1 << 16;
-
-/// Vertex budget of the sampled implicit scan: exhaustive below it,
-/// a deterministic stride sample above (an implicit G_10 has ~2e9
-/// vertices; a fixed sample keeps the audit O(1) in r while still
-/// touching every rank).
-constexpr std::uint64_t kViewSampleCap = 1 << 20;
-
-/// One Findings buffer per view-safe rule, filled in a single pass.
-struct ViewRuleFindings {
-  Findings topo;
-  Findings rank;
-  Findings degree;
-  Findings copy;
-  Findings meta_root;
-  Findings meta_subtree;
-  Findings fact1;
-};
-
-void check_view_vertex(const cdag::CdagView& view, const VertexId v,
-                       std::vector<VertexId>& in_scratch,
-                       std::vector<VertexId>& out_scratch,
-                       ViewRuleFindings& out) {
-  const Layout& layout = view.layout();
-  const std::uint64_t n = view.num_vertices();
-  const auto a = static_cast<std::uint64_t>(layout.a());
-  const auto b = static_cast<std::uint64_t>(layout.b());
-  const int r = layout.r();
-  const auto& pow_a = layout.pow_a();
-  const VertexRef ref = layout.ref(v);
-  const int level = layout.level(v);
-  const auto preds = view.in(v, in_scratch);
-
-  // Degree bounds, plus self-consistency of the synthesized lists
-  // against the degree queries.
-  const std::uint64_t deg = preds.size();
-  if (deg != view.in_degree(v)) {
-    out.degree.add(error_counts(
-        "cdag.degree-bounds",
-        "synthesized in-list length disagrees with in_degree",
-        /*expected=*/view.in_degree(v), /*actual=*/deg, v));
-  }
-  {
-    const auto succs = view.out(v, out_scratch);
-    if (succs.size() != view.out_degree(v)) {
-      out.degree.add(error_counts(
-          "cdag.degree-bounds",
-          "synthesized out-list length disagrees with out_degree",
-          /*expected=*/view.out_degree(v), /*actual=*/succs.size(), v));
-    }
-  }
-  if (ref.layer != LayerKind::Dec) {
-    if (ref.rank == 0) {
-      if (deg != 0) {
-        out.degree.add(error_counts("cdag.degree-bounds",
-                                    "input vertex has in-edges",
-                                    /*expected=*/0, deg, v));
-      }
-    } else if (deg < 1 || deg > a) {
-      out.degree.add(error_counts(
-          "cdag.degree-bounds",
-          "encoding vertex in-degree outside 1..a (Section 3)",
-          /*expected=*/a, deg, v));
-    }
-  } else if (ref.rank == 0) {
-    if (deg != 2) {
-      out.degree.add(
-          error_counts("cdag.degree-bounds",
-                       "product vertex must have exactly two operands",
-                       /*expected=*/2, deg, v));
-    }
-  } else if (deg < 1 || deg > b) {
-    out.degree.add(error_counts(
-        "cdag.degree-bounds",
-        "decoding vertex in-degree outside 1..b (Section 3)",
-        /*expected=*/b, deg, v));
-  }
-
-  for (const VertexId p : preds) {
-    if (p >= v) {
-      out.topo.add(error_counts(
-          "cdag.topological-ids",
-          "in-edge predecessor " + std::to_string(p) +
-              " does not precede its successor in the id order",
-          /*expected=*/v, /*actual=*/p, v));
-    }
-    if (p >= n) continue;  // topological-ids
-    const int pred_level = layout.level(p);
-    if (pred_level + 1 != level) {
-      out.rank.add(error_counts(
-          "cdag.rank-structure",
-          "edge from " + std::to_string(p) + " (level " +
-              std::to_string(pred_level) +
-              ") does not connect consecutive levels",
-          /*expected=*/static_cast<std::uint64_t>(pred_level + 1),
-          /*actual=*/static_cast<std::uint64_t>(level), v));
-    }
-
-    // Fact-1 prefix discipline, per in-edge (see cdag_rules.cpp).
-    const VertexRef pred = layout.ref(p);
-    if (ref.layer != LayerKind::Dec) {
-      if (pred.layer != ref.layer || pred.rank != ref.rank - 1) {
-        out.fact1.add(error("cdag.fact1-prefix",
-                            "encoding in-edge does not come from the "
-                            "previous rank of the same side",
-                            v));
-      } else if (pred.q != ref.q / b ||
-                 pred.p % pow_a(r - ref.rank) != ref.p) {
-        out.fact1.add(error("cdag.fact1-prefix",
-                            "encoding edge changes the recursion-path "
-                            "prefix or block position (Fact 1)",
-                            v));
-      }
-    } else if (ref.rank == 0) {
-      if (pred.layer == LayerKind::Dec || pred.rank != r) {
-        out.fact1.add(
-            error("cdag.fact1-prefix",
-                  "product in-edge does not come from encoding rank r", v));
-      } else if (pred.q != ref.q) {
-        out.fact1.add(error("cdag.fact1-prefix",
-                            "multiplication edge joins different "
-                            "recursion paths (Fact 1)",
-                            v));
-      }
-    } else {
-      if (pred.layer != LayerKind::Dec || pred.rank != ref.rank - 1) {
-        out.fact1.add(error("cdag.fact1-prefix",
-                            "decoding in-edge does not come from the "
-                            "previous decoding rank",
-                            v));
-      } else if (pred.q / b != ref.q ||
-                 pred.p != ref.p % pow_a(ref.rank - 1)) {
-        out.fact1.add(error("cdag.fact1-prefix",
-                            "decoding edge changes the recursion-path "
-                            "prefix or block position (Fact 1)",
-                            v));
-      }
-    }
-  }
-  // A product must multiply one operand from each side.
-  if (ref.layer == LayerKind::Dec && ref.rank == 0 && preds.size() == 2 &&
-      preds[0] < n && preds[1] < n) {
-    const VertexRef p0 = layout.ref(preds[0]);
-    const VertexRef p1 = layout.ref(preds[1]);
-    if (p0.layer == p1.layer && p0.layer != LayerKind::Dec) {
-      out.fact1.add(
-          error("cdag.fact1-prefix",
-                "product multiplies two operands from the same side", v));
-    }
-  }
-
-  // Copy and meta bookkeeping (the per-vertex clauses; the membership
-  // recount of cdag.meta-root needs O(n) arrays and is skipped with a
-  // note by the caller).
-  const VertexId parent = view.copy_parent(v);
-  const VertexId root = view.meta_root(v);
-  if (parent != kInvalidVertex) {
-    if (parent >= n) {
-      out.copy.add(
-          error("cdag.copy-structure", "recorded copy-parent is not a vertex",
-                v));
-    } else {
-      if (parent >= v) {
-        out.copy.add(error_counts(
-            "cdag.copy-structure",
-            "copy-parent id must be smaller than the copy's",
-            /*expected=*/v, /*actual=*/parent, v));
-      }
-      if (preds.size() != 1) {
-        out.copy.add(error_counts("cdag.copy-structure",
-                                  "copy vertex must have in-degree 1",
-                                  /*expected=*/1, preds.size(), v));
-      } else if (preds[0] != parent) {
-        out.copy.add(error_counts(
-            "cdag.copy-structure",
-            "copy vertex's unique in-edge is not from its copy-parent",
-            /*expected=*/parent, /*actual=*/preds[0], v));
-      }
-    }
-  }
-  if (root >= n) {
-    out.meta_root.add(
-        error("cdag.meta-root", "recorded meta-root is not a vertex", v));
-    return;
-  }
-  if (root > v) {
-    out.meta_root.add(error_counts("cdag.meta-root",
-                                   "meta-root id must not exceed the member's",
-                                   /*expected=*/v, /*actual=*/root, v));
-  }
-  if (view.meta_root(root) != root) {
-    out.meta_root.add(error_counts(
-        "cdag.meta-root", "recorded meta-root is not itself a root",
-        /*expected=*/root, /*actual=*/view.meta_root(root), v));
-  }
-  if (!view.capabilities().grouped_duplicates && parent == kInvalidVertex &&
-      root != v) {
-    out.meta_root.add(error_counts(
-        "cdag.meta-root",
-        "non-copy vertex is not its own meta-root (same-value grouping "
-        "is off)",
-        /*expected=*/v, /*actual=*/root, v));
-  }
-  if (parent == kInvalidVertex) {
-    // Lemma 2: the root of an upward subtree is its unique non-copy.
-    if (root == v && view.copy_parent(root) != kInvalidVertex) {
-      out.meta_subtree.add(error("cdag.meta-subtree",
-                                 "meta-root is a copy vertex (Lemma 2 roots "
-                                 "carry a non-copy definition)",
-                                 v));
-    }
-  } else if (parent < n && view.meta_root(parent) != root) {
-    out.meta_subtree.add(error_counts(
-        "cdag.meta-subtree",
-        "copy vertex does not inherit its copy-parent's meta-root, so "
-        "the meta-vertex is not an upward subtree (Lemma 2)",
-        /*expected=*/view.meta_root(parent), /*actual=*/root, v));
-  }
-}
+using internal::kScanGrain;
 
 constexpr std::string_view kViewConsistency = "cdag.view-consistency";
 constexpr std::string_view kImplicitMatch = "routing.implicit-match";
@@ -262,54 +34,6 @@ void compare_count(Findings& out, const std::string& what,
 }
 
 }  // namespace
-
-AuditReport audit_cdag_view(const cdag::CdagView& view,
-                            const RuleSelection& selection) {
-  if (view.explicit_cdag() != nullptr) {
-    // Whole-graph arrays exist: run the full (exhaustive, parallel)
-    // suite instead of the sampled per-vertex subset.
-    return audit_cdag(*view.explicit_cdag(), selection);
-  }
-  const std::uint64_t n = view.num_vertices();
-  const std::uint64_t stride =
-      n <= kViewSampleCap ? 1 : (n + kViewSampleCap - 1) / kViewSampleCap;
-  ViewRuleFindings findings;
-  std::vector<VertexId> in_scratch;
-  std::vector<VertexId> out_scratch;
-  for (std::uint64_t v = 0; v < n; v += stride) {
-    check_view_vertex(view, static_cast<VertexId>(v), in_scratch, out_scratch,
-                      findings);
-  }
-  AuditReport report;
-  flush(report, selection, "cdag.topological-ids", std::move(findings.topo));
-  flush(report, selection, "cdag.rank-structure", std::move(findings.rank));
-  flush(report, selection, "cdag.degree-bounds", std::move(findings.degree));
-  flush(report, selection, "cdag.copy-structure", std::move(findings.copy));
-  flush(report, selection, "cdag.meta-root", std::move(findings.meta_root));
-  flush(report, selection, "cdag.meta-subtree",
-        std::move(findings.meta_subtree));
-  flush(report, selection, "cdag.fact1-prefix", std::move(findings.fact1));
-  if (selection.enabled("cdag.meta-root")) {
-    Diagnostic note;
-    note.rule = "cdag.meta-root";
-    note.severity = Severity::kNote;
-    note.message =
-        "membership recount skipped: the view lacks the explicit_edges "
-        "capability (the recount needs O(n) meta arrays)";
-    report.add(note);
-  }
-  if (stride > 1 && selection.enabled("cdag.topological-ids")) {
-    Diagnostic note;
-    note.rule = "cdag.topological-ids";
-    note.severity = Severity::kNote;
-    note.message = "implicit view: per-vertex rules evaluated on a "
-                   "deterministic stride sample of " +
-                   std::to_string((n + stride - 1) / stride) + " of " +
-                   std::to_string(n) + " vertices";
-    report.add(note);
-  }
-  return report;
-}
 
 AuditReport audit_view_consistency(const cdag::CdagView& view,
                                    const cdag::Cdag& reference,

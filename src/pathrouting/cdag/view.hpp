@@ -11,10 +11,12 @@
 // CdagView is the seam. ExplicitView adapts today's CSR-backed Cdag;
 // cdag::ImplicitCdag (implicit.hpp) synthesizes the same answers on
 // demand with O(a + b) state. Consumers written against the view — the
-// routing engines, the segment certifier, the view-safe audit rules —
-// run unchanged on either; consumers that genuinely need whole-graph
-// arrays test `capabilities().explicit_edges` and degrade with a report
-// note instead of silently passing (see audit/audit.hpp).
+// routing engines, the segment certifier, the cdag.* audit suite — run
+// unchanged on either, and tests substitute fakes over corrupted
+// tables. Consumers that genuinely need whole-graph arrays test
+// `capabilities().explicit_edges` and degrade with a report note
+// instead of silently passing (the cdag.* suite samples views above
+// 2^20 vertices that lack it; see audit/audit.hpp).
 //
 // Contract mirrored from Graph/Cdag so results are bit-identical:
 //   - in(v) lists predecessors in builder emission order (encoding rows

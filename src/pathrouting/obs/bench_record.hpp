@@ -158,6 +158,19 @@ struct BenchFile {
 /// writing.
 void finalize_records(BenchFile& file, const std::string& commit);
 
+/// The git commit the calling binary was built from, for the "commit"
+/// field. Targets that write records get `PR_GIT_COMMIT` (the top-level
+/// CMakeLists bakes in `git rev-parse --short HEAD`) as a PRIVATE
+/// define, so committed BENCH_*.json files record which code produced
+/// them; without the define this is "unknown".
+inline const char* git_commit() {
+#ifdef PR_GIT_COMMIT
+  return PR_GIT_COMMIT;
+#else
+  return "unknown";
+#endif
+}
+
 struct BenchParseResult {
   std::optional<BenchFile> file;
   std::string error;  // empty on success; includes 1-based line number

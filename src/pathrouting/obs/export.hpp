@@ -37,7 +37,7 @@ bool write_chrome_trace_file(const std::string& path);
 
 /// counters_snapshot() in the BENCH_*.json schema: one record per
 /// counter, name order. `commit` annotates every record (pass
-/// bench::git_commit() or "unknown").
+/// obs::git_commit() or "unknown").
 [[nodiscard]] BenchFile counters_as_bench_file(const std::string& bench_name,
                                                const std::string& commit);
 

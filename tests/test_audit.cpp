@@ -15,7 +15,9 @@
 #include "pathrouting/bilinear/catalog.hpp"
 #include "pathrouting/bounds/disjoint_family.hpp"
 #include "pathrouting/cdag/cdag.hpp"
+#include "pathrouting/cdag/implicit.hpp"
 #include "pathrouting/cdag/subcomputation.hpp"
+#include "pathrouting/cdag/view.hpp"
 #include "pathrouting/parallel/machine.hpp"
 #include "pathrouting/routing/chain_routing.hpp"
 #include "pathrouting/routing/decode_routing.hpp"
@@ -36,12 +38,63 @@ using support::parallel::ThreadOverride;
 TEST(Audit, CleanCatalogCdagsAuditClean) {
   for (const auto& name : bilinear::catalog_names()) {
     for (int r = 1; r <= 2; ++r) {
-      const cdag::Cdag c(bilinear::by_name(name), r);
-      const AuditReport report = audit::audit_cdag(c);
-      EXPECT_TRUE(report.ok()) << name << " r=" << r << "\n"
-                               << report.to_text();
+      for (const bool grouped : {false, true}) {
+        const cdag::Cdag c(bilinear::by_name(name), r,
+                           {.group_duplicate_rows = grouped});
+        const AuditReport report = audit::audit_cdag(cdag::ExplicitView(c));
+        EXPECT_TRUE(report.ok())
+            << name << " r=" << r << " grouped=" << grouped << "\n"
+            << report.to_text();
+      }
     }
   }
+}
+
+TEST(Audit, ImplicitViewsAuditLikeTheirExplicitGraphs) {
+  // Below the sample cap the scan is exhaustive on any view, meta-root
+  // recount included, so an implicit report is the explicit one.
+  const auto expect_same = [](const bilinear::BilinearAlgorithm& alg, int r) {
+    const AuditReport implicit = audit::audit_cdag(cdag::ImplicitCdag(alg, r));
+    const AuditReport explicit_report =
+        audit::audit_cdag(cdag::ExplicitView(cdag::Cdag(alg, r)));
+    EXPECT_TRUE(implicit == explicit_report)
+        << alg.name() << " r=" << r << "\n"
+        << implicit.to_text() << "\n"
+        << explicit_report.to_text();
+    EXPECT_TRUE(implicit.ok()) << alg.name() << " r=" << r;
+    EXPECT_EQ(implicit.rules_run().size(), 7u) << alg.name() << " r=" << r;
+  };
+  for (const auto& name : bilinear::catalog_names()) {
+    for (int r = 1; r <= 2; ++r) expect_same(bilinear::by_name(name), r);
+  }
+  expect_same(bilinear::strassen(), 3);
+}
+
+TEST(Audit, LargeImplicitViewAuditsOnASampleWithNotes) {
+  // Strassen G_7 has ~5.7M virtual vertices, above the 2^20 sample cap.
+  const cdag::ImplicitCdag implicit(bilinear::strassen(), 7);
+  const std::uint64_t n = implicit.num_vertices();
+  const std::uint64_t cap = std::uint64_t{1} << 20;
+  ASSERT_GT(n, cap);
+  const std::uint64_t stride = (n + cap - 1) / cap;
+  const AuditReport report = audit::audit_cdag(implicit);
+  EXPECT_TRUE(report.ok()) << report.to_text();
+  EXPECT_EQ(report.rules_run().size(), 7u);
+  std::vector<std::string> notes;
+  for (const audit::Diagnostic& diag : report.diagnostics()) {
+    if (diag.severity == audit::Severity::kNote) {
+      notes.push_back(diag.rule + ": " + diag.message);
+    }
+  }
+  ASSERT_EQ(notes.size(), 2u) << report.to_text();
+  EXPECT_EQ(notes[0],
+            "cdag.meta-root: membership recount skipped: the view lacks the "
+            "explicit_edges capability (the recount needs O(n) meta arrays)");
+  EXPECT_EQ(notes[1],
+            "cdag.topological-ids: implicit view: per-vertex rules evaluated "
+            "on a deterministic stride sample of " +
+                std::to_string((n + stride - 1) / stride) + " of " +
+                std::to_string(n) + " vertices");
 }
 
 TEST(Audit, RunAllCleanOnStrassenFamilies) {
@@ -109,15 +162,14 @@ TEST(Audit, FindingsAreThreadCountInvariant) {
   family.expected_length = 3;  // every path is short: findings per chunk
   family.vertex_disjoint = true;
 
-  const auto view = audit::view_of(c);
   AuditReport serial, parallel4;
   {
     const ThreadOverride threads(1);
-    serial = audit::audit_path_family(view, family);
+    serial = audit::audit_path_family(c.graph(), family);
   }
   {
     const ThreadOverride threads(4);
-    parallel4 = audit::audit_path_family(view, family);
+    parallel4 = audit::audit_path_family(c.graph(), family);
   }
   EXPECT_TRUE(serial == parallel4);
   EXPECT_FALSE(serial.ok());
@@ -158,7 +210,8 @@ TEST(Audit, RuleSelectionFiltersByIdAndPrefix) {
   EXPECT_TRUE(without.enabled("cdag.degree-bounds"));
 
   const cdag::Cdag c(bilinear::strassen(), 1, {.with_coefficients = false});
-  const AuditReport report = audit::audit_cdag(c, only_cdag);
+  const AuditReport report =
+      audit::audit_cdag(cdag::ExplicitView(c), only_cdag);
   for (const auto& rule : report.rules_run()) {
     EXPECT_EQ(rule.rfind("cdag.", 0), 0u) << rule;
   }

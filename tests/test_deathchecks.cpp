@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "pathrouting/audit/audit.hpp"
 #include "pathrouting/bilinear/catalog.hpp"
@@ -13,11 +16,13 @@
 #include "pathrouting/cdag/cdag.hpp"
 #include "pathrouting/cdag/evaluate.hpp"
 #include "pathrouting/cdag/subcomputation.hpp"
+#include "pathrouting/cdag/view.hpp"
 #include "pathrouting/parallel/machine.hpp"
 #include "pathrouting/pebble/cache_sim.hpp"
 #include "pathrouting/routing/hall.hpp"
 #include "pathrouting/schedule/schedules.hpp"
 #include "pathrouting/schedule/validate.hpp"
+#include "pathrouting/support/parallel.hpp"
 #include "pathrouting/support/rational.hpp"
 
 namespace {
@@ -118,16 +123,17 @@ using audit::Diagnostic;
 using audit::RuleSelection;
 using cdag::VertexId;
 
-/// Owning, mutable copy of a CDAG's structure tables. Tests corrupt one
-/// entry, rebuild the graph, and audit through a CdagView.
-struct MutableCdag {
+/// Test-only CdagView fake: an owning, mutable copy of a CDAG's
+/// structure tables. Tests corrupt entries, then audit `view()`, which
+/// rebuilds the graph from the (possibly mutated) in-lists.
+struct MutableCdag final : cdag::CdagView {
   const cdag::Cdag* base;
   std::vector<std::uint32_t> in_off;
   std::vector<VertexId> in_adj;
-  std::vector<VertexId> copy_parent;
-  std::vector<VertexId> meta_root;
-  std::vector<std::uint32_t> meta_size;
-  std::vector<support::Rational> in_coeff;
+  std::vector<VertexId> copy_parent_table;
+  std::vector<VertexId> meta_root_table;
+  std::vector<std::uint32_t> meta_size_table;  // indexed by root
+  bool explicit_edges = true;  // false: audit it like an implicit view
   cdag::Graph graph;
 
   explicit MutableCdag(const cdag::Cdag& c) : base(&c) {
@@ -138,10 +144,9 @@ struct MutableCdag {
       for (const VertexId p : g.in(v)) in_adj.push_back(p);
       in_off.push_back(static_cast<std::uint32_t>(in_adj.size()));
     }
-    copy_parent.assign(c.copy_parents().begin(), c.copy_parents().end());
-    meta_root.assign(c.meta_roots().begin(), c.meta_roots().end());
-    meta_size.assign(c.meta_sizes().begin(), c.meta_sizes().end());
-    in_coeff.assign(c.in_coeffs().begin(), c.in_coeffs().end());
+    copy_parent_table.assign(c.copy_parents().begin(), c.copy_parents().end());
+    meta_root_table.assign(c.meta_roots().begin(), c.meta_roots().end());
+    meta_size_table.assign(c.meta_sizes().begin(), c.meta_sizes().end());
   }
 
   /// Replaces the in-edge slot of `v` currently holding `from` with
@@ -159,17 +164,50 @@ struct MutableCdag {
     for (std::size_t w = v + 1; w < in_off.size(); ++w) ++in_off[w];
   }
 
-  audit::CdagView view() {
+  const cdag::CdagView& view() {
     graph = cdag::Graph(in_off, in_adj);
-    audit::CdagView view;
-    view.graph = &graph;
-    view.layout = &base->layout();
-    view.copy_parent = copy_parent;
-    view.meta_root = meta_root;
-    view.meta_size = meta_size;
-    view.in_coeff = in_coeff;
-    view.grouped_duplicates = base->grouped_duplicates();
-    return view;
+    return *this;
+  }
+
+  [[nodiscard]] const bilinear::BilinearAlgorithm& algorithm() const override {
+    return base->algorithm();
+  }
+  [[nodiscard]] const cdag::Layout& layout() const override {
+    return base->layout();
+  }
+  [[nodiscard]] cdag::ViewCapabilities capabilities() const override {
+    return {.explicit_edges = explicit_edges,
+            .coefficients = false,
+            .grouped_duplicates = base->grouped_duplicates()};
+  }
+  [[nodiscard]] std::uint64_t num_edges() const override {
+    return graph.num_edges();
+  }
+  [[nodiscard]] std::uint32_t in_degree(VertexId v) const override {
+    return graph.in_degree(v);
+  }
+  [[nodiscard]] std::uint32_t out_degree(VertexId v) const override {
+    return graph.out_degree(v);
+  }
+  [[nodiscard]] std::span<const VertexId> in(
+      VertexId v, std::vector<VertexId>& /*scratch*/) const override {
+    return graph.in(v);
+  }
+  [[nodiscard]] std::span<const VertexId> out(
+      VertexId v, std::vector<VertexId>& /*scratch*/) const override {
+    return graph.out(v);
+  }
+  [[nodiscard]] bool has_edge(VertexId from, VertexId to) const override {
+    return graph.has_edge(from, to);
+  }
+  [[nodiscard]] VertexId copy_parent(VertexId v) const override {
+    return copy_parent_table[v];
+  }
+  [[nodiscard]] VertexId meta_root(VertexId v) const override {
+    return meta_root_table[v];
+  }
+  [[nodiscard]] std::uint32_t meta_size(VertexId v) const override {
+    return meta_size_table[meta_root_table[v]];
   }
 };
 
@@ -235,7 +273,7 @@ TEST(AuditMutation, CopyStructureCatchesWrongParent) {
   const VertexId real_parent = c.copy_parent(v);
   // Record a different (still smaller) vertex as the copy-parent: the
   // unique in-edge no longer comes from it.
-  m.copy_parent[v] = real_parent == 0 ? 1 : 0;
+  m.copy_parent_table[v] = real_parent == 0 ? 1 : 0;
   const auto& diag = first_finding(run_rule(m, "cdag.copy-structure"),
                                    "cdag.copy-structure");
   EXPECT_EQ(diag.vertex, v);
@@ -243,14 +281,38 @@ TEST(AuditMutation, CopyStructureCatchesWrongParent) {
 
 TEST(AuditMutation, MetaRootCatchesSizeMismatch) {
   const cdag::Cdag c(bilinear::strassen(), 1, {.with_coefficients = false});
+  // Below the sample cap the recount runs with or without explicit edges.
+  for (const bool explicit_edges : {true, false}) {
+    SCOPED_TRACE(explicit_edges ? "explicit edges" : "no explicit edges");
+    MutableCdag m(c);
+    m.explicit_edges = explicit_edges;
+    const VertexId root = c.copy_parent(first_copy_vertex(c));
+    m.meta_size_table[root] += 1;
+    const auto& diag = first_finding(run_rule(m, "cdag.meta-root"),
+                                     "cdag.meta-root");
+    EXPECT_EQ(diag.vertex, root);
+    EXPECT_TRUE(diag.has_counts);
+    EXPECT_EQ(diag.expected + 1, diag.actual);
+  }
+}
+
+TEST(AuditMutation, SampledScanReachesTheEndOfTheIdRange) {
+  // Laderman G_4 has ~1.37M vertices, above the 2^20 sample cap, so a
+  // view without explicit edges is checked on a stride sample.
+  const cdag::Cdag c(bilinear::laderman(), 4, {.with_coefficients = false});
+  const std::uint64_t n = c.graph().num_vertices();
+  const std::uint64_t cap = std::uint64_t{1} << 20;
+  ASSERT_GT(n, cap);
+  const std::uint64_t stride = (n + cap - 1) / cap;
   MutableCdag m(c);
-  const VertexId root = c.copy_parent(first_copy_vertex(c));
-  m.meta_size[root] += 1;
-  const auto& diag = first_finding(run_rule(m, "cdag.meta-root"),
-                                   "cdag.meta-root");
-  EXPECT_EQ(diag.vertex, root);
-  EXPECT_TRUE(diag.has_counts);
-  EXPECT_EQ(diag.expected + 1, diag.actual);
+  m.explicit_edges = false;
+  const auto v = static_cast<VertexId>((n - 1) / stride * stride);
+  ASSERT_GT(v, cap);
+  m.copy_parent_table[v] = static_cast<VertexId>(n);  // not a vertex
+  const auto report = run_rule(m, "cdag.copy-structure");
+  const auto& diag = first_finding(report, "cdag.copy-structure");
+  EXPECT_EQ(diag.vertex, v);
+  EXPECT_EQ(report.num_errors(), 1u);
 }
 
 TEST(AuditMutation, MetaSubtreeCatchesDetachedCopy) {
@@ -260,12 +322,71 @@ TEST(AuditMutation, MetaSubtreeCatchesDetachedCopy) {
   const VertexId root = c.meta_root(v);
   // Detach the copy into its own meta-vertex (sizes kept consistent so
   // only the subtree rule can object).
-  m.meta_root[v] = v;
-  m.meta_size[v] = 1;
-  m.meta_size[root] -= 1;
+  m.meta_root_table[v] = v;
+  m.meta_size_table[v] = 1;
+  m.meta_size_table[root] -= 1;
   const auto& diag = first_finding(run_rule(m, "cdag.meta-subtree"),
                                    "cdag.meta-subtree");
   EXPECT_EQ(diag.vertex, v);
+}
+
+TEST(AuditMutation, MetaSubtreeCatchesCopyRoot) {
+  const cdag::Cdag c(bilinear::strassen(), 1, {.with_coefficients = false});
+  MutableCdag m(c);
+  const VertexId v = first_copy_vertex(c);
+  const VertexId root = c.meta_root(v);
+  // Re-root the whole meta-vertex, the copy's parent included, at the
+  // copy and move the size along: every copy still inherits its
+  // parent's root, but that root is now a copy vertex.
+  for (VertexId& member_root : m.meta_root_table) {
+    if (member_root == root) member_root = v;
+  }
+  m.meta_size_table[v] = m.meta_size_table[root];
+  m.meta_size_table[root] = 0;
+  const auto report = run_rule(m, "cdag.meta-subtree");
+  const auto& diag = first_finding(report, "cdag.meta-subtree");
+  EXPECT_EQ(diag.vertex, v);
+  EXPECT_EQ(report.num_errors(), 1u);
+}
+
+TEST(AuditMutation, CappedFindingsKeepLowestIdsAtAnyThreadCount) {
+  const cdag::Cdag c(bilinear::strassen(), 6, {.with_coefficients = false});
+  const std::uint64_t n = c.graph().num_vertices();
+  ASSERT_GT(n, 10u * (1u << 16)) << "want more than ten 2^16-vertex chunks";
+  MutableCdag m(c);
+  // One finding per corrupted vertex, spread evenly over every chunk.
+  constexpr std::uint64_t kCorrupted = 40;
+  std::vector<VertexId> corrupted;
+  for (std::uint64_t i = 0; i < kCorrupted; ++i) {
+    const auto v = static_cast<VertexId>(i * (n / kCorrupted));
+    m.copy_parent_table[v] = static_cast<VertexId>(n);  // not a vertex
+    corrupted.push_back(v);
+  }
+  const cdag::CdagView& view = m.view();
+  const auto selection = RuleSelection::only({"cdag.copy-structure"});
+  AuditReport serial, parallel4;
+  {
+    const support::parallel::ThreadOverride threads(1);
+    serial = audit::audit_cdag(view, selection);
+  }
+  {
+    const support::parallel::ThreadOverride threads(4);
+    parallel4 = audit::audit_cdag(view, selection);
+  }
+  EXPECT_TRUE(serial == parallel4);
+  ASSERT_EQ(serial.diagnostics().size(), 17u) << serial.to_text();
+  EXPECT_EQ(serial.num_errors(), 16u);
+  for (std::size_t i = 0; i < 16; ++i) {
+    const Diagnostic& diag = serial.diagnostics()[i];
+    EXPECT_EQ(diag.rule, "cdag.copy-structure");
+    EXPECT_EQ(diag.message, "recorded copy-parent is not a vertex");
+    EXPECT_EQ(diag.vertex, corrupted[i]);
+  }
+  const Diagnostic& note = serial.diagnostics().back();
+  EXPECT_EQ(note.rule, "cdag.copy-structure");
+  EXPECT_EQ(note.severity, audit::Severity::kNote);
+  EXPECT_EQ(note.message,
+            "further findings suppressed (showing first 16 of 40)");
 }
 
 TEST(AuditMutation, Fact1PrefixCatchesCrossedMultiplication) {
@@ -300,7 +421,7 @@ struct FamilyFixture {
     family.vertices = vertices;
     if (!sources.empty()) family.sources = sources;
     if (!sinks.empty()) family.sinks = sinks;
-    return audit::audit_path_family(audit::view_of(cdag), family,
+    return audit::audit_path_family(cdag.graph(), family,
                                     RuleSelection::only({rule}));
   }
 };

@@ -69,14 +69,6 @@ namespace {
 
 using namespace pathrouting;  // NOLINT
 
-const char* git_commit() {
-#ifdef PR_GIT_COMMIT
-  return PR_GIT_COMMIT;
-#else
-  return "unknown";
-#endif
-}
-
 /// Re-runs one baseline record and returns the fresh record. `earlier`
 /// holds the fresh records of every workload run before it, which is
 /// all a roll-up row reads.
@@ -300,7 +292,7 @@ int main(int argc, char** argv) {
   std::printf(
       "pr_bench_gate: baseline %s (commit %s) vs build %s (threads %d), "
       "%zu workloads, tolerance %.2fx, floor %.3fs\n",
-      opt.baseline.c_str(), baseline_commit.c_str(), git_commit(),
+      opt.baseline.c_str(), baseline_commit.c_str(), obs::git_commit(),
       support::parallel::num_threads(), workloads.size(), opt.tolerance,
       opt.min_seconds);
   if (skipped_k > 0) {
@@ -404,7 +396,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  obs::finalize_records(report, git_commit());
+  obs::finalize_records(report, obs::git_commit());
   if (!opt.report_path.empty() &&
       !obs::write_bench_file(report, opt.report_path)) {
     return 2;
@@ -415,11 +407,11 @@ int main(int argc, char** argv) {
   }
   if (!opt.metrics_path.empty() &&
       !obs::write_bench_file(
-          obs::counters_as_bench_file("gate_metrics", git_commit()),
+          obs::counters_as_bench_file("gate_metrics", obs::git_commit()),
           opt.metrics_path)) {
     return 2;
   }
-  obs::write_env_outputs("gate_metrics", git_commit());
+  obs::write_env_outputs("gate_metrics", obs::git_commit());
 
   const char* verdict = count_failures > 0  ? "FAILED"
                         : slow_failures > 0 ? "SLOW"
