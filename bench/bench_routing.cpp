@@ -8,28 +8,25 @@
 // Every (algorithm, k, engine) point runs and is recorded through
 // routing/routing_point.hpp — the triple pr_bench_gate re-runs
 // against the committed BENCH_routing_memo.json. The brute engine
-// enumerates every path (the oracle); the memoized engine
-// (routing/memo_routing.hpp) fills the same hit arrays from the closed
-// forms on a canonical G_k copy. Where both engines run, the full
-// per-vertex arrays are compared bit for bit and the memo record
-// carries counts_bit_identical plus the measured speedup. Any
-// divergence or bound violation makes the bench exit nonzero, so CI
-// can run it as a perf smoke test (--engine=memo --kmax=N under
-// timeout).
-//
-// The implicit engine is the third column: the same closed forms
-// evaluated through cdag::ImplicitCdag (no CSR arrays, no per-vertex
-// hit arrays — digit-state DP only), so its records measure the
-// constant-memory verification path and carry max_rss_bytes. Its
-// stats must match the memoized engine's bit for bit.
+// enumerates every path on a materialized G_k (the oracle); the
+// memoized engine (routing/memo_routing.hpp) derives every statistic
+// from the closed forms by one digit-state DP, never building G_k, and
+// fills the canonical per-vertex hit arrays from the same forms. Where
+// both engines run, the stats and the full per-vertex arrays are
+// compared bit for bit and the memo record carries
+// counts_bit_identical plus the measured speedup. Any divergence or
+// bound violation makes the bench exit 1, so CI runs it as a cross-check
+// (--engine=both --kmax=3) and as a perf smoke test (--engine=memo
+// --kmax=N under timeout).
 //
 // Flags:
-//   --engine=both|memo|brute|implicit  which engines (default both=all)
+//   --engine=both|memo|brute   which engines (default both)
 //   --kmax=N                   cap every case's k (0 = per-case table)
 //   --kmax-brute=N             cap only the brute engine's k
 //   --full-catalog             add every catalog algorithm at k <= 3
 #include <algorithm>
-#include <cstring>
+#include <climits>
+#include <cstdint>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -41,7 +38,9 @@
 #include "pathrouting/bilinear/catalog.hpp"
 #include "pathrouting/cdag/layout.hpp"
 #include "pathrouting/obs/export.hpp"
+#include "pathrouting/routing/memo_routing.hpp"
 #include "pathrouting/routing/routing_point.hpp"
+#include "pathrouting/support/cli.hpp"
 #include "pathrouting/support/table.hpp"
 
 namespace {
@@ -53,43 +52,40 @@ using support::fmt_fixed;
 struct Options {
   bool run_brute = true;
   bool run_memo = true;
-  bool run_implicit = true;
   int kmax = 0;        // 0 = per-case table
   int kmax_brute = 0;  // 0 = per-case table
   bool full_catalog = false;
 };
 
 Options parse_options(int argc, char** argv) {
+  support::Cli cli(argc, argv);
+  const std::string engine = cli.flag_str(
+      "engine", "both", "which engines run: both, memo or brute");
+  const std::int64_t kmax =
+      cli.flag_int("kmax", 0, "cap every case's k (0 = per-case table)");
+  const std::int64_t kmax_brute = cli.flag_int(
+      "kmax-brute", 0, "cap only the brute engine's k (0 = per-case table)");
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.starts_with("--engine=")) {
-      const std::string engine = arg.substr(std::strlen("--engine="));
-      opt.run_brute = engine == "both" || engine == "brute";
-      opt.run_memo = engine == "both" || engine == "memo";
-      opt.run_implicit = engine == "both" || engine == "implicit";
-      if (!opt.run_brute && !opt.run_memo && !opt.run_implicit) {
-        std::fprintf(stderr,
-                     "unknown engine \"%s\" (valid engines: both, memo, "
-                     "brute, implicit)\n",
-                     engine.c_str());
-        std::exit(2);
-      }
-    } else if (arg.starts_with("--kmax=")) {
-      opt.kmax = std::atoi(arg.c_str() + std::strlen("--kmax="));
-    } else if (arg.starts_with("--kmax-brute=")) {
-      opt.kmax_brute = std::atoi(arg.c_str() + std::strlen("--kmax-brute="));
-    } else if (arg == "--full-catalog") {
-      opt.full_catalog = true;
-    } else {
-      std::fprintf(stderr,
-                   "unknown flag %s\nusage: bench_routing "
-                   "[--engine=both|memo|brute|implicit] [--kmax=N] "
-                   "[--kmax-brute=N] [--full-catalog]\n",
-                   arg.c_str());
-      std::exit(2);
-    }
+  opt.full_catalog = cli.flag_bool(
+      "full-catalog", false, "add every catalog algorithm at k <= 3");
+  cli.finish("E2-E5: the routing theorems, verified by the brute and "
+             "memoized engines.");
+  if (engine != "both" && engine != "memo" && engine != "brute") {
+    cli.fail("unknown engine '" + engine +
+             "' (valid engines: both, memo, brute)");
   }
+  opt.run_brute = engine != "memo";
+  opt.run_memo = engine != "brute";
+  const auto cap = [&](const char* flag, std::int64_t value) {
+    if (value < 0) {
+      cli.fail(std::string("--") + flag +
+               " must be >= 1 (or 0 for the per-case table), got " +
+               std::to_string(value));
+    }
+    return static_cast<int>(std::min<std::int64_t>(value, INT_MAX));
+  };
+  opt.kmax = cap("kmax", kmax);
+  opt.kmax_brute = cap("kmax-brute", kmax_brute);
   return opt;
 }
 
@@ -99,30 +95,23 @@ struct Case {
   int kmax_memo;
 };
 
-/// A case with the CLI caps applied per engine. The implicit engine
-/// shares the memoized k table (both evaluate closed forms; the
-/// implicit engine's far larger feasible k lives in bench_implicit).
+/// A case with the CLI caps applied per engine.
 struct ActiveCase {
   std::string name;
   int kmax_brute = 0;
   int kmax_memo = 0;
-  int kmax_implicit = 0;
-  [[nodiscard]] int kmax() const {
-    return std::max({kmax_brute, kmax_memo, kmax_implicit});
-  }
+  [[nodiscard]] int kmax() const { return std::max(kmax_brute, kmax_memo); }
 };
 
 ActiveCase capped(const Options& opt, const Case& raw) {
-  ActiveCase c{raw.name, raw.kmax_brute, raw.kmax_memo, raw.kmax_memo};
+  ActiveCase c{raw.name, raw.kmax_brute, raw.kmax_memo};
   if (opt.kmax > 0) {
     c.kmax_brute = std::min(c.kmax_brute, opt.kmax);
     c.kmax_memo = std::min(c.kmax_memo, opt.kmax);
-    c.kmax_implicit = std::min(c.kmax_implicit, opt.kmax);
   }
   if (opt.kmax_brute > 0) c.kmax_brute = std::min(c.kmax_brute, opt.kmax_brute);
   if (!opt.run_brute) c.kmax_brute = 0;
   if (!opt.run_memo) c.kmax_memo = 0;
-  if (!opt.run_implicit) c.kmax_implicit = 0;
   return c;
 }
 
@@ -146,27 +135,29 @@ void add_catalog_cases(std::vector<Case>& cases, int kmax,
   }
 }
 
-/// Hit arrays are compared only where both engines materialize them
-/// (the implicit engine never does).
-bool same_hits(const std::vector<std::uint64_t>& a,
-               const std::vector<std::uint64_t>& b) {
-  return a.empty() || b.empty() || a == b;
+/// A memo point against the brute point of the same (algorithm, k):
+/// the stats field for field, and the engine's canonical G_k hit array
+/// (the whole graph is the prefix-0 copy, whose Fact-1 renaming is the
+/// identity) bit for bit against the brute array.
+bool same_chain(const routing::ChainPoint& memo,
+                const routing::ChainPoint& brute,
+                const routing::MemoRoutingEngine& engine) {
+  const auto hits = engine.canonical_chain_hit_array(memo.spec.k);
+  return std::ranges::equal(hits, brute.counts.hits) && memo.l3 == brute.l3 &&
+         memo.l4 == brute.l4 && memo.t2 == brute.t2;
 }
 
-bool same_chain(const routing::ChainPoint& a, const routing::ChainPoint& b) {
-  return same_hits(a.counts.hits, b.counts.hits) && a.l3 == b.l3 &&
-         a.l4 == b.l4 && a.t2 == b.t2;
-}
-
-bool same_decode(const routing::DecodePoint& a,
-                 const routing::DecodePoint& b) {
-  return same_hits(a.hits, b.hits) && a.stats == b.stats;
+bool same_decode(const routing::DecodePoint& memo,
+                 const routing::DecodePoint& brute,
+                 const routing::MemoRoutingEngine& engine) {
+  const auto hits = engine.canonical_decode_hit_array(memo.spec.k);
+  return std::ranges::equal(hits, brute.hits) && memo.stats == brute.stats;
 }
 
 /// One k of a case: each engine's point, run when k is within its cap.
 template <class Point>
 struct EnginePoints {
-  std::optional<Point> brute, memo, implicit;
+  std::optional<Point> brute, memo;
 
   EnginePoints(const ActiveCase& c, int k,
                Point (*run)(const routing::RoutingSpec&)) {
@@ -174,14 +165,11 @@ struct EnginePoints {
       brute = run({c.name, k, routing::EngineKind::kBrute});
     }
     if (k <= c.kmax_memo) memo = run({c.name, k, routing::EngineKind::kMemo});
-    if (k <= c.kmax_implicit) {
-      implicit = run({c.name, k, routing::EngineKind::kImplicit});
-    }
   }
 };
 
-/// Records `point` with its cross-check against `reference` (brute for
-/// memo, memo for implicit): counts_bit_identical plus the speedup.
+/// Records `point` with its cross-check against `reference` (the brute
+/// point, for memo): counts_bit_identical plus the speedup.
 /// Returns the table's speedup cell; a divergence fails the bench.
 template <class Point>
 std::string record_point(bench::BenchJson& json, const Point& point,
@@ -236,6 +224,8 @@ int main(int argc, char** argv) {
 
   for (const Case& raw : chain_cases) {
     const ActiveCase c = capped(opt, raw);
+    const routing::MemoRoutingEngine engine{
+        routing::ChainRouter(bilinear::by_name(c.name))};
     for (int k = 1; k <= c.kmax(); ++k) {
       const EnginePoints<routing::ChainPoint> points(c, k,
                                                      routing::run_chain_point);
@@ -244,7 +234,8 @@ int main(int argc, char** argv) {
         if (!point.has_value()) return;
         const routing::ChainPoint& p = *point;
         const std::string speed = record_point(
-            json, p, ref, ref.has_value() && same_chain(p, *ref), failed);
+            json, p, ref, ref.has_value() && same_chain(p, *ref, engine),
+            failed);
         if (!p.ok()) failed = true;
         table.add_row({c.name, std::to_string(k),
                        routing::engine_name(p.spec.engine),
@@ -257,7 +248,6 @@ int main(int argc, char** argv) {
       };
       emit(points.brute, std::nullopt);
       emit(points.memo, points.brute);
-      emit(points.implicit, points.memo);
     }
   }
   table.print(std::cout);
@@ -278,6 +268,9 @@ int main(int argc, char** argv) {
 
   for (const Case& raw : decode_cases) {
     const ActiveCase c = capped(opt, raw);
+    const auto alg = bilinear::by_name(c.name);
+    const routing::MemoRoutingEngine engine{routing::ChainRouter(alg),
+                                            routing::DecodeRouter(alg)};
     for (int k = 1; k <= c.kmax(); ++k) {
       const EnginePoints<routing::DecodePoint> points(
           c, k, routing::run_decode_point);
@@ -286,7 +279,8 @@ int main(int argc, char** argv) {
         if (!point.has_value()) return;
         const routing::DecodePoint& p = *point;
         const std::string speed = record_point(
-            json, p, ref, ref.has_value() && same_decode(p, *ref), failed);
+            json, p, ref, ref.has_value() && same_decode(p, *ref, engine),
+            failed);
         if (!p.stats.ok()) failed = true;
         claim1.add_row(
             {c.name, std::to_string(k), routing::engine_name(p.spec.engine),
@@ -300,7 +294,6 @@ int main(int argc, char** argv) {
       };
       emit(points.brute, std::nullopt);
       emit(points.memo, points.brute);
-      emit(points.implicit, points.memo);
     }
   }
   claim1.print(std::cout);

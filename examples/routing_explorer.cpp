@@ -3,19 +3,19 @@
 //   ./routing_explorer --alg=strassen --k=3
 //   ./routing_explorer --alg=laderman --k=2 --show-chain
 //   ./routing_explorer --alg=strassen --k=2 --engine=brute
-//   ./routing_explorer --alg=strassen --k=10 --engine=implicit
+//   ./routing_explorer --alg=strassen --k=10
 //   ./routing_explorer --alg=strassen --k=2 --dot=paths.dot
 //
 // Prints the Theorem-3 base matching, the Lemma-3 / Theorem-2 hit
-// statistics for G_k (via the memoized closed-form engine by default,
-// --engine=brute for the enumerating oracle, or --engine=implicit for
-// the constant-memory virtual-CDAG engine, which never materializes
-// G_k and so reaches k = 10+), and optionally walks one concrete chain
-// and one concatenated In->Out path, naming every vertex it passes.
-// --dot writes those two sample paths as a DOT edge overlay for
-// graphviz. --show-chain and --dot build the explicit CDAG even under
-// --engine=implicit (the sample paths live in a materialized graph),
-// so keep k small when combining them.
+// statistics for G_k (via the closed-form engine by default, which
+// evaluates them on the virtual cdag::ImplicitCdag, never materializes
+// G_k and so reaches k = 10+; --engine=brute for the enumerating
+// oracle), and optionally walks one concrete chain and one
+// concatenated In->Out path, naming every vertex it passes. --dot
+// writes those two sample paths as a DOT edge overlay for graphviz.
+// --show-chain and --dot build the explicit CDAG under either engine
+// (the sample paths live in a materialized graph), so keep k small
+// when combining them.
 #include <cstdio>
 #include <optional>
 #include <string>
@@ -55,19 +55,15 @@ int main(int argc, char** argv) {
       cli.flag_bool("show-chain", false, "print a sample chain and path");
   const std::string engine =
       cli.flag_str("engine", "memo",
-                   "verification engine: memo (closed forms), brute "
-                   "(path enumeration), or implicit (constant memory, "
-                   "no materialized CDAG)");
+                   "verification engine: memo (closed forms, constant "
+                   "memory, no materialized CDAG) or brute (path "
+                   "enumeration)");
   const std::string dot_file =
       cli.flag_str("dot", "", "write the sample chain and Lemma-4 path "
                               "as a DOT overlay to this file");
   cli.finish("Explore the Theorem-2 routing of a Strassen-like CDAG.");
-  if (engine != "memo" && engine != "brute" && engine != "implicit") {
-    std::fprintf(stderr,
-                 "unknown engine \"%s\" (valid engines: memo, brute, "
-                 "implicit)\n",
-                 engine.c_str());
-    return 2;
+  if (engine != "memo" && engine != "brute") {
+    cli.fail("unknown engine '" + engine + "' (valid engines: memo, brute)");
   }
 
   const auto alg = bilinear::by_name(name);
@@ -94,25 +90,22 @@ int main(int argc, char** argv) {
     }
   }
 
-  // The implicit engine needs no materialized graph; only the sample
-  // paths (--show-chain / --dot) do.
+  // The closed-form engine needs no materialized graph; only the brute
+  // engine and the sample paths (--show-chain / --dot) do.
   const bool need_paths = show_chain || !dot_file.empty();
   std::optional<cdag::Cdag> graph;
   std::optional<cdag::SubComputation> sub;
-  if (engine != "implicit" || need_paths) {
+  if (engine == "brute" || need_paths) {
     graph.emplace(alg, k, cdag::CdagOptions{.with_coefficients = false});
     sub.emplace(*graph, k, 0);
   }
-  const routing::MemoRoutingEngine memo(router);
   routing::HitStats l3;
   routing::FullRoutingStats t2;
-  if (engine == "implicit") {
+  if (engine == "memo") {
+    const routing::MemoRoutingEngine memo(router);
     const cdag::ImplicitCdag view(alg, k);
     l3 = memo.verify_chain_routing(view, k, 0);
     t2 = memo.verify_full_routing(view, k, 0);
-  } else if (engine == "memo") {
-    l3 = memo.verify_chain_routing(*sub);
-    t2 = memo.verify_full_routing(*sub);
   } else {
     l3 = routing::verify_chain_routing(router, *sub);
     t2 = routing::verify_full_routing_aggregated(router, *sub);

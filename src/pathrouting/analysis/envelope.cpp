@@ -55,22 +55,6 @@ std::vector<Wrapped> wrap_pow_table(std::uint64_t base, int kmax) {
   return pow;
 }
 
-/// M_side[q] = #{guaranteed digit pairs (d, e) matched to product q} —
-/// the same table the memoized engine builds (memo_routing.cpp).
-std::vector<std::uint64_t> matched_pair_counts(const BilinearAlgorithm& alg,
-                                               Side side,
-                                               const routing::BaseMatching& mu) {
-  std::vector<std::uint64_t> m(static_cast<std::size_t>(alg.b()), 0);
-  for (int d = 0; d < alg.a(); ++d) {
-    for (int e = 0; e < alg.a(); ++e) {
-      if (routing::is_guaranteed_digit_pair(alg.n0(), side, d, e)) {
-        ++m[static_cast<std::size_t>(mu.product(d, e))];
-      }
-    }
-  }
-  return m;
-}
-
 /// Trivial (single-coefficient-1) encoding rows per side, as the memo
 /// engine derives them for the Theorem-2 meta accounting.
 std::vector<std::uint8_t> trivial_row_flags(const BilinearAlgorithm& alg,
@@ -214,9 +198,9 @@ AlgorithmEnvelopes compute_envelopes(const BilinearAlgorithm& alg,
 
   const routing::ChainRouter router(alg);
   const std::vector<std::uint64_t> m_a =
-      matched_pair_counts(alg, Side::A, router.matching(Side::A));
+      routing::matched_pair_counts(alg, Side::A, router.matching(Side::A));
   const std::vector<std::uint64_t> m_b =
-      matched_pair_counts(alg, Side::B, router.matching(Side::B));
+      routing::matched_pair_counts(alg, Side::B, router.matching(Side::B));
   const std::vector<std::uint8_t> triv_a = trivial_row_flags(alg, Side::A);
   const std::vector<std::uint8_t> triv_b = trivial_row_flags(alg, Side::B);
 

@@ -9,7 +9,9 @@
 #include "pathrouting/audit/internal.hpp"
 #include "pathrouting/bilinear/analysis.hpp"
 #include "pathrouting/cdag/implicit.hpp"
+#include "pathrouting/routing/chain_routing.hpp"
 #include "pathrouting/routing/concat_routing.hpp"
+#include "pathrouting/routing/decode_routing.hpp"
 #include "pathrouting/routing/hall.hpp"
 #include "pathrouting/schedule/schedules.hpp"
 #include "pathrouting/support/debug_hooks.hpp"
@@ -62,9 +64,17 @@ AuditReport run_all(const cdag::Cdag& cdag, const RunAllOptions& options) {
       }
       const routing::ChainRouter router(alg);
       const cdag::SubComputation sub(cdag, k, 0);
-      report.merge(audit_chain_routing(router, sub, selection));
+      // The oracle's per-vertex hit counts, computed once for the
+      // congestion rules and routing.implicit-match.
+      const bool count_hits = selection.enabled(internal::kCongestion) ||
+                              selection.enabled(internal::kImplicitMatch);
+      routing::ChainHitCounts chains;
+      if (count_hits) chains = routing::count_chain_hits(router, sub);
+      report.merge(audit_chain_routing(router, sub, chains.hits, selection));
       report.merge(audit_concat_routing(router, sub, selection));
       std::optional<routing::DecodeRouter> decoder;
+      std::optional<cdag::SubComputation> dsub;
+      std::vector<std::uint64_t> decode_hits;
       if (bilinear::decoding_components(alg) == 1) {
         // The decode audit streams a^k*b^k zig-zags; same budget.
         int kd = k;
@@ -73,13 +83,17 @@ AuditReport run_all(const cdag::Cdag& cdag, const RunAllOptions& options) {
           --kd;
         }
         decoder.emplace(alg);
-        const cdag::SubComputation dsub(cdag, kd, 0);
-        report.merge(audit_decode_routing(*decoder, dsub, selection));
+        dsub.emplace(cdag, kd, 0);
+        if (count_hits) {
+          decode_hits = routing::count_decode_hits(*decoder, *dsub);
+        }
+        report.merge(
+            audit_decode_routing(*decoder, *dsub, decode_hits, selection));
       }
       if (k >= 1) {
-        // The memoized engine re-derives the same hit arrays from the
-        // closed forms; reconcile them (and the Fact-1 renaming)
-        // against the certificates.
+        // The closed-form engine re-derives the same certificates:
+        // reconcile its canonical arrays (and the Fact-1 renaming)
+        // with its totals and stats, and its stats with the oracle.
         std::optional<routing::MemoRoutingEngine> engine;
         if (decoder) {
           engine.emplace(router, *decoder);
@@ -87,7 +101,19 @@ AuditReport run_all(const cdag::Cdag& cdag, const RunAllOptions& options) {
           engine.emplace(router);
         }
         report.merge(audit_memo_routing(*engine, sub, selection));
-        report.merge(audit_implicit_routing(*engine, sub, selection));
+        if (selection.enabled(internal::kImplicitMatch)) {
+          OracleRouting oracle{
+              .chain = routing::chain_stats_from_counts(chains, sub),
+              .multiplicities =
+                  routing::verify_chain_multiplicities(router, sub),
+              .full = routing::full_routing_from_chain_counts(sub, chains)};
+          if (dsub) {
+            oracle.dsub = &*dsub;
+            oracle.decode =
+                routing::decode_stats_from_hits(*decoder, *dsub, decode_hits);
+          }
+          report.merge(audit_implicit_routing(*engine, sub, oracle, selection));
+        }
       }
       if (r >= 2 && bilinear::lemma1_precondition(alg)) {
         const int kf = std::min(r - 2, 1);

@@ -29,6 +29,7 @@
 #include "pathrouting/cdag/subcomputation.hpp"
 #include "pathrouting/cdag/view.hpp"
 #include "pathrouting/routing/chain_routing.hpp"
+#include "pathrouting/routing/concat_routing.hpp"
 #include "pathrouting/routing/decode_routing.hpp"
 #include "pathrouting/routing/memo_routing.hpp"
 #include "pathrouting/routing/path_store.hpp"
@@ -91,39 +92,57 @@ AuditReport audit_copy_translation(
     std::span<const cdag::CopyBlock> blocks,
     const RuleSelection& selection = RuleSelection::all());
 
-/// Certificate reconciliation of a memoized chain-hit array
-/// (routing.memo-totals): the chain count, the total-hits closed form
-/// num_chains * (2k+2), and the recorded max/argmax must match
-/// `counts`; the array is also checked against the 2*n0^k congestion
-/// bound (routing.congestion).
+/// Certificate reconciliation of the canonical chain-hit array `hits`
+/// (local ids of G_k) of the copy `sub` (routing.memo-totals): the
+/// array total must equal the closed form num_chains * (2k+2), the
+/// array's max and smallest-id argmax (renamed to global ids through
+/// cdag::CopyTranslation) must equal `stats`, the engine's closed-form
+/// Lemma-3 stats of the copy, and stats.num_paths must be 2*a^k*n0^k.
+/// The array is also checked against the 2*n0^k congestion bound
+/// (routing.congestion), with global finding ids.
 AuditReport audit_memo_chain_counts(
     const routing::MemoRoutingEngine& engine, const cdag::SubComputation& sub,
-    const routing::ChainHitCounts& counts,
+    std::span<const std::uint64_t> hits, const routing::HitStats& stats,
     const RuleSelection& selection = RuleSelection::all());
 
 /// One-stop memoized-routing audit of `sub`: the Fact-1 copy renaming
-/// (fact1.*), the memoized chain counts, and — when the engine has a
-/// decoder — the Claim-1 totals and congestion of the memoized decode
-/// array.
+/// (fact1.*), the canonical chain array at k = sub.k() against the
+/// closed-form stats, and, when the engine has a decoder, the same
+/// reconciliation of the canonical decode array against the Claim-1
+/// totals, stats and |D_1|*max(a,b)^k congestion bound.
 AuditReport audit_memo_routing(
     const routing::MemoRoutingEngine& engine, const cdag::SubComputation& sub,
     const RuleSelection& selection = RuleSelection::all());
 
-/// routing.implicit-match: the constant-memory implicit engine path
-/// (addressing G_k^prefix by (k, prefix) through a view) must reproduce
-/// the array-backed memoized certificates of `sub` field for field —
-/// chain stats, the Lemma-4 multiplicity verdict, Theorem-2 stats, and
-/// (when the engine has a decoder) decode stats.
+/// The brute-force oracle's certificates of a copy `sub` and, for a
+/// Claim-1 base, of a decode copy `dsub`, as run_all derives them from
+/// the hit counts it also hands the congestion rules.
+struct OracleRouting {
+  routing::HitStats chain;         // routing::chain_stats_from_counts
+  bool multiplicities = false;     // routing::verify_chain_multiplicities
+  routing::FullRoutingStats full;  // routing::full_routing_from_chain_counts
+  const cdag::SubComputation* dsub = nullptr;  // null: no decode check
+  routing::HitStats decode;  // routing::decode_stats_from_hits on *dsub
+};
+
+/// routing.implicit-match: the engine's closed-form verifiers, run on
+/// `sub` (and oracle.dsub) addressed by (k, prefix) through a view,
+/// must reproduce `oracle` field for field: chain stats, the Lemma-4
+/// multiplicity verdict, the aggregated Theorem-2 stats and the Claim-1
+/// decode stats.
 AuditReport audit_implicit_routing(
     const routing::MemoRoutingEngine& engine, const cdag::SubComputation& sub,
+    const OracleRouting& oracle,
     const RuleSelection& selection = RuleSelection::all());
 
 /// Lemma 3: materializes every guaranteed-dependence chain of `sub` and
-/// audits edges, endpoints, length 2k+2, the 2*n0^k congestion bound,
-/// and the 2*a^k*n0^k chain count. Memory is O(paths in flight); the
-/// congestion count shards exactly like the routing verifiers.
+/// audits edges, endpoints, length 2k+2 and the 2*a^k*n0^k chain count.
+/// routing.congestion checks `hits`, the oracle's per-vertex chain hits
+/// of `sub` (routing::count_chain_hits), against 2*n0^k; `hits` is read
+/// only when that rule is selected.
 AuditReport audit_chain_routing(
     const routing::ChainRouter& router, const cdag::SubComputation& sub,
+    std::span<const std::uint64_t> hits,
     const RuleSelection& selection = RuleSelection::all());
 
 /// Theorem 2: streams all 2*a^(2k) concatenated paths, auditing edges,
@@ -133,10 +152,13 @@ AuditReport audit_concat_routing(
     const RuleSelection& selection = RuleSelection::all());
 
 /// Claim 1: streams all b^k*a^k decode zig-zag paths of sub's D_k,
-/// auditing (undirected) edges, endpoints, and the |D_1|*max(a,b)^k
-/// congestion bound.
+/// auditing (undirected) edges and endpoints. routing.congestion checks
+/// `hits`, the oracle's per-vertex decode hits of `sub`
+/// (routing::count_decode_hits), against |D_1|*max(a,b)^k; `hits` is
+/// read only when that rule is selected.
 AuditReport audit_decode_routing(
     const routing::DecodeRouter& router, const cdag::SubComputation& sub,
+    std::span<const std::uint64_t> hits,
     const RuleSelection& selection = RuleSelection::all());
 
 /// Theorem 3: validates a Hall matching witness for `side`. Findings

@@ -24,6 +24,11 @@ inline constexpr std::uint64_t kMaxFindingsPerRule = 16;
 /// tuning knob.
 inline constexpr std::uint64_t kScanGrain = 1 << 16;
 
+/// Rule ids run_all reads besides their suites: it counts the
+/// brute-force routing hits once for both rules.
+inline constexpr std::string_view kCongestion = "routing.congestion";
+inline constexpr std::string_view kImplicitMatch = "routing.implicit-match";
+
 /// Per-chunk finding accumulator. Chunks collect at most the cap (plus
 /// the exact violation count); merging keeps the earliest findings in
 /// chunk order, so the surviving diagnostics are the ones with the

@@ -70,14 +70,14 @@ constexpr RuleInfo kRules[] = {
      "the chain routing covers all 2*a^k*n0^k guaranteed dependencies",
      "Section 7, Lemma 3"},
     {"routing.memo-totals",
-     "memoized hit arrays reconcile with the closed-form certificates: "
+     "canonical hit arrays reconcile with the closed-form certificates: "
      "2*a^k*n0^k chains of 2k+2 vertices each, D_1 visit totals for the "
-     "decode zig-zags, and recorded max/argmax matching the array",
+     "decode zig-zags, and the closed-form max/argmax matching the array",
      "Lemmas 3-4, Claim 1 (certificate totals)"},
     {"routing.implicit-match",
-     "the constant-memory implicit engine reproduces the array-backed "
-     "memoized certificates field for field: chain, Lemma-4 "
-     "multiplicity, Theorem-2, and decode stats including max/argmax",
+     "the closed-form verifiers reproduce the brute-force oracle's "
+     "certificates field for field: chain, Lemma-4 multiplicity, "
+     "Theorem-2, and decode stats including max/argmax",
      "Lemmas 3-4, Theorem 2, Claim 1"},
 
     // Fact-1 copy renamings (the memoized engine's translation maps).

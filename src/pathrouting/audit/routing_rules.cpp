@@ -25,11 +25,11 @@ using internal::error;
 using internal::error_counts;
 using internal::Findings;
 using internal::flush;
+using internal::kCongestion;
 
 constexpr std::string_view kEdges = "routing.path-edges";
 constexpr std::string_view kEndpoints = "routing.path-endpoints";
 constexpr std::string_view kLength = "routing.path-length";
-constexpr std::string_view kCongestion = "routing.congestion";
 constexpr std::string_view kDisjoint = "routing.path-disjoint";
 constexpr std::string_view kChainCount = "routing.chain-count";
 constexpr std::string_view kMemoTotals = "routing.memo-totals";
@@ -98,15 +98,62 @@ void check_path(std::span<const VertexId> path, const PathExpectations& x,
 
 /// Serial scan of a merged per-vertex hit array against a congestion
 /// bound; findings in vertex-id order, capped.
-void congestion_findings(const std::vector<std::uint64_t>& hits,
+/// `map`, when given, renames the canonical-copy ids of `hits` to the
+/// global ids the findings report.
+void congestion_findings(std::span<const std::uint64_t> hits,
                          std::uint64_t bound, const std::string& what,
-                         Findings& out) {
+                         Findings& out,
+                         const cdag::CopyTranslation* map = nullptr) {
   for (std::uint64_t v = 0; v < hits.size(); ++v) {
     if (hits[v] > bound) {
+      const auto id = static_cast<VertexId>(v);
       out.add(error_counts(kCongestion,
                            what + " congestion exceeds the routing bound",
-                           bound, hits[v], v));
+                           bound, hits[v], map ? map->to_global(id) : id));
     }
+  }
+}
+
+/// Reconciles the canonical hit array `hits` of the copy `map` renames
+/// (routing.memo-totals, appended to `totals`): its sum against the
+/// closed-form `expected_total` (`total_message` names the formula),
+/// its max and smallest-id argmax against the closed-form `stats`.
+/// Then checks every entry against `bound`, the paper's congestion
+/// bound derived from the layout rather than taken from the engine
+/// under audit (routing.congestion).
+void reconcile_canonical(std::span<const std::uint64_t> hits,
+                         const routing::HitStats& stats, std::uint64_t bound,
+                         std::uint64_t expected_total,
+                         const std::string& total_message,
+                         const std::string& what,
+                         const cdag::CopyTranslation& map, Findings totals,
+                         const RuleSelection& selection, AuditReport& report) {
+  std::uint64_t total = 0, max = 0;
+  VertexId argmax = 0;
+  for (VertexId v = 0; v < hits.size(); ++v) {
+    total += hits[v];
+    if (hits[v] > max) {
+      max = hits[v];
+      argmax = v;
+    }
+  }
+  if (total != expected_total) {
+    totals.add(error_counts(kMemoTotals, total_message, expected_total, total));
+  }
+  argmax = map.to_global(argmax);
+  if (max != stats.max_hits || argmax != stats.argmax) {
+    totals.add(error_counts(kMemoTotals,
+                            "recorded " + what +
+                                " max hits / argmax disagree with the "
+                                "canonical array (smallest-id tie-break)",
+                            max, stats.max_hits, argmax));
+  }
+  flush(report, selection, kMemoTotals, std::move(totals));
+  if (selection.enabled(kCongestion)) {
+    Findings findings;
+    congestion_findings(hits, bound, "memoized " + what + "-routing vertex",
+                        findings, &map);
+    flush(report, selection, kCongestion, std::move(findings));
   }
 }
 
@@ -336,49 +383,27 @@ AuditReport audit_copy_translation(const Layout& global, int k,
 
 AuditReport audit_memo_chain_counts(const routing::MemoRoutingEngine& engine,
                                     const SubComputation& sub,
-                                    const routing::ChainHitCounts& counts,
+                                    std::span<const std::uint64_t> hits,
+                                    const routing::HitStats& stats,
                                     const RuleSelection& selection) {
   const Layout& layout = sub.cdag().layout();
   const int k = sub.k();
   AuditReport report;
   Findings totals;
-  if (counts.num_chains != engine.expected_num_chains(k)) {
+  if (stats.num_paths != engine.expected_num_chains(k)) {
     totals.add(error_counts(kMemoTotals,
                             "chain count disagrees with 2*a^k*n0^k "
                             "(one chain per guaranteed dependence)",
-                            engine.expected_num_chains(k), counts.num_chains));
+                            engine.expected_num_chains(k), stats.num_paths));
   }
-  std::uint64_t total = 0, max_hits = 0;
-  VertexId argmax = 0;
-  for (VertexId v = 0; v < counts.hits.size(); ++v) {
-    total += counts.hits[v];
-    if (counts.hits[v] > max_hits) {
-      max_hits = counts.hits[v];
-      argmax = v;
-    }
-  }
-  if (total != engine.expected_chain_total_hits(k)) {
-    totals.add(error_counts(kMemoTotals,
-                            "hit-array total disagrees with the certificate "
-                            "num_chains * (2k+2) (chains have 2k+2 distinct "
-                            "vertices)",
-                            engine.expected_chain_total_hits(k), total));
-  }
-  if (max_hits != counts.max_hits || argmax != counts.argmax) {
-    totals.add(error_counts(kMemoTotals,
-                            "recorded max hits / argmax disagree with the "
-                            "array (smallest-id tie-break)",
-                            max_hits, counts.max_hits, argmax));
-  }
-  flush(report, selection, kMemoTotals, std::move(totals));
-
-  if (selection.enabled(kCongestion)) {
-    Findings findings;
-    congestion_findings(counts.hits,
-                        2 * routing::guaranteed_fanout(layout, k),
-                        "memoized chain-routing vertex", findings);
-    flush(report, selection, kCongestion, std::move(findings));
-  }
+  reconcile_canonical(hits, stats,
+                      2 * routing::guaranteed_fanout(layout, k),  // Lemma 3
+                      engine.expected_chain_total_hits(k),
+                      "hit-array total disagrees with the certificate "
+                      "num_chains * (2k+2) (chains have 2k+2 distinct "
+                      "vertices)",
+                      "chain", cdag::CopyTranslation(layout, k, sub.prefix()),
+                      std::move(totals), selection, report);
   return report;
 }
 
@@ -388,36 +413,31 @@ AuditReport audit_memo_routing(const routing::MemoRoutingEngine& engine,
   const Layout& layout = sub.cdag().layout();
   const int k = sub.k();
   const cdag::CopyTranslation map(layout, k, sub.prefix());
+  const cdag::ExplicitView view(sub.cdag());
   AuditReport report =
       audit_copy_translation(layout, k, sub.prefix(), map.blocks(), selection);
-  report.merge(
-      audit_memo_chain_counts(engine, sub, engine.chain_hits(sub), selection));
-
+  report.merge(audit_memo_chain_counts(
+      engine, sub, engine.canonical_chain_hit_array(k),
+      engine.verify_chain_routing(view, k, sub.prefix()), selection));
   if (engine.has_decoder()) {
-    const std::vector<std::uint64_t> hits = engine.decode_hits(sub);
-    Findings totals;
-    std::uint64_t total = 0;
-    for (const std::uint64_t h : hits) total += h;
-    if (total != engine.expected_decode_total_hits(k)) {
-      totals.add(error_counts(kMemoTotals,
-                              "decode hit-array total disagrees with the "
-                              "Claim-1 certificate b^k*a^k + "
-                              "k*b^(k-1)*a^(k-1)*(D_1 visit totals)",
-                              engine.expected_decode_total_hits(k), total));
-    }
-    flush(report, selection, kMemoTotals, std::move(totals));
-    if (selection.enabled(kCongestion)) {
-      Findings findings;
-      congestion_findings(hits, engine.verify_decode_routing(sub).bound,
-                          "memoized decode-routing vertex", findings);
-      flush(report, selection, kCongestion, std::move(findings));
-    }
+    // Claim 1: |D_1| = a + b.
+    const std::uint64_t bound =
+        static_cast<std::uint64_t>(layout.a() + layout.b()) *
+        std::max(layout.pow_a()(k), layout.pow_b()(k));
+    reconcile_canonical(engine.canonical_decode_hit_array(k),
+                        engine.verify_decode_routing(view, k, sub.prefix()),
+                        bound, engine.expected_decode_total_hits(k),
+                        "decode hit-array total disagrees with the Claim-1 "
+                        "certificate b^k*a^k + k*b^(k-1)*a^(k-1)*(D_1 visit "
+                        "totals)",
+                        "decode", map, Findings{}, selection, report);
   }
   return report;
 }
 
 AuditReport audit_chain_routing(const routing::ChainRouter& router,
                                 const SubComputation& sub,
+                                std::span<const std::uint64_t> hits,
                                 const RuleSelection& selection) {
   const cdag::Cdag& owner = sub.cdag();
   const Layout& layout = owner.layout();
@@ -496,10 +516,8 @@ AuditReport audit_chain_routing(const routing::ChainRouter& router,
   }
 
   if (selection.enabled(kCongestion)) {
-    const routing::ChainHitCounts counts =
-        routing::count_chain_hits(router, sub);
     Findings findings;
-    congestion_findings(counts.hits, bound, "chain-routing vertex", findings);
+    congestion_findings(hits, bound, "chain-routing vertex", findings);
     flush(report, selection, kCongestion, std::move(findings));
   }
   return report;
@@ -646,11 +664,11 @@ AuditReport audit_concat_routing(const routing::ChainRouter& router,
 
 AuditReport audit_decode_routing(const routing::DecodeRouter& router,
                                  const SubComputation& sub,
+                                 std::span<const std::uint64_t> hits,
                                  const RuleSelection& selection) {
   const cdag::Cdag& owner = sub.cdag();
   const Layout& layout = owner.layout();
   const Graph& graph = owner.graph();
-  const std::uint64_t n = graph.num_vertices();
   const int k = sub.k();
   const std::uint64_t num_q = sub.num_products();
   const std::uint64_t num_e = sub.inputs_per_side();
@@ -697,18 +715,6 @@ AuditReport audit_decode_routing(const routing::DecodeRouter& router,
   }
 
   if (selection.enabled(kCongestion)) {
-    const std::uint64_t grain = parallel::work_grain(
-        num_q,
-        /*per_item_cost=*/num_e * static_cast<std::uint64_t>(2 * k + 2));
-    const std::vector<std::uint64_t> hits = streamed_hits(
-        num_q, grain, n,
-        [&](std::uint64_t q, const auto& sink, std::vector<VertexId>& path) {
-          for (std::uint64_t e = 0; e < num_e; ++e) {
-            path.clear();
-            router.append_path(sub, q, e, path);
-            sink(std::span<const VertexId>(path));
-          }
-        });
     Findings findings;
     congestion_findings(hits, bound, "decode-routing vertex", findings);
     flush(report, selection, kCongestion, std::move(findings));

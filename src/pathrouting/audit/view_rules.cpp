@@ -1,7 +1,8 @@
 // Reconciliations of a cdag::CdagView against the explicit structures:
 // the exhaustive implicit-vs-explicit consistency rule
-// (cdag.view-consistency) and the implicit routing engine check
-// (routing.implicit-match).
+// (cdag.view-consistency) and the check of the closed-form routing
+// verifiers, which address copies through a view, against the
+// brute-force oracle (routing.implicit-match).
 #include <string>
 #include <vector>
 
@@ -19,17 +20,17 @@ using internal::error;
 using internal::error_counts;
 using internal::Findings;
 using internal::flush;
+using internal::kImplicitMatch;
 using internal::kScanGrain;
 
 constexpr std::string_view kViewConsistency = "cdag.view-consistency";
-constexpr std::string_view kImplicitMatch = "routing.implicit-match";
 
 void compare_count(Findings& out, const std::string& what,
                    std::uint64_t expected, std::uint64_t actual) {
   if (expected == actual) return;
   out.add(error_counts(
       kImplicitMatch,
-      what + ": implicit engine disagrees with the array-backed result",
+      what + ": closed-form engine disagrees with the brute-force oracle",
       expected, actual));
 }
 
@@ -145,6 +146,7 @@ AuditReport audit_view_consistency(const cdag::CdagView& view,
 
 AuditReport audit_implicit_routing(const routing::MemoRoutingEngine& engine,
                                    const cdag::SubComputation& sub,
+                                   const OracleRouting& oracle,
                                    const RuleSelection& selection) {
   Findings findings;
   const cdag::ExplicitView view(sub.cdag());
@@ -152,7 +154,7 @@ AuditReport audit_implicit_routing(const routing::MemoRoutingEngine& engine,
   const std::uint64_t prefix = sub.prefix();
 
   {
-    const routing::HitStats want = engine.verify_chain_routing(sub);
+    const routing::HitStats& want = oracle.chain;
     const routing::HitStats got = engine.verify_chain_routing(view, k, prefix);
     compare_count(findings, "chain num_paths", want.num_paths, got.num_paths);
     compare_count(findings, "chain max_hits", want.max_hits, got.max_hits);
@@ -160,13 +162,13 @@ AuditReport audit_implicit_routing(const routing::MemoRoutingEngine& engine,
     compare_count(findings, "chain argmax", want.argmax, got.argmax);
   }
   {
-    const bool want = engine.verify_chain_multiplicities(sub);
+    const bool want = oracle.multiplicities;
     const bool got = engine.verify_chain_multiplicities(view, k, prefix);
     compare_count(findings, "Lemma-4 multiplicity verdict", want ? 1 : 0,
                   got ? 1 : 0);
   }
   {
-    const routing::FullRoutingStats want = engine.verify_full_routing(sub);
+    const routing::FullRoutingStats& want = oracle.full;
     const routing::FullRoutingStats got =
         engine.verify_full_routing(view, k, prefix);
     compare_count(findings, "Theorem-2 num_paths", want.num_paths,
@@ -182,10 +184,11 @@ AuditReport audit_implicit_routing(const routing::MemoRoutingEngine& engine,
                   want.root_hit_property ? 1 : 0,
                   got.root_hit_property ? 1 : 0);
   }
-  if (engine.has_decoder()) {
-    const routing::HitStats want = engine.verify_decode_routing(sub);
-    const routing::HitStats got =
-        engine.verify_decode_routing(view, k, prefix);
+  if (oracle.dsub != nullptr) {
+    const cdag::SubComputation& dsub = *oracle.dsub;
+    const routing::HitStats& want = oracle.decode;
+    const routing::HitStats got = engine.verify_decode_routing(
+        cdag::ExplicitView(dsub.cdag()), dsub.k(), dsub.prefix());
     compare_count(findings, "decode num_paths", want.num_paths, got.num_paths);
     compare_count(findings, "decode max_hits", want.max_hits, got.max_hits);
     compare_count(findings, "decode bound", want.bound, got.bound);

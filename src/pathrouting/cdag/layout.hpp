@@ -132,9 +132,10 @@ struct CopyBlock {
 /// 3(k+1) local ranks maps to ONE contiguous global id run and the
 /// whole renaming is these blocks. The map is strictly increasing
 /// (blocks appear in both local and global id order), so id-order
-/// tie-breaks (smallest argmax) translate verbatim: per-vertex counts
-/// computed once on the canonical copy move to any copy by block
-/// copies (memo_routing.hpp builds on exactly this).
+/// tie-breaks (smallest argmax) translate verbatim: a statistic
+/// computed once on the canonical copy holds on every copy (the
+/// memoized engine's argmax and the routing.memo-totals finding ids
+/// build on exactly this).
 class CopyTranslation {
  public:
   /// The renaming for copy `prefix` of G_k inside `global`

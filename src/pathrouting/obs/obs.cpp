@@ -105,8 +105,8 @@ std::vector<CounterValue> counters_snapshot() {
                      return a.name < b.name;
                    });
   // Several instrumentation sites may share one logical counter name
-  // (memo.copy_blocks is bumped by both hit-array translators); the
-  // snapshot presents the summed total under the single name.
+  // (certify.runs is bumped by both segment certifiers); the snapshot
+  // presents the summed total under the single name.
   std::vector<CounterValue> merged;
   for (CounterValue& c : out) {
     if (!merged.empty() && merged.back().name == c.name) {

@@ -29,6 +29,16 @@ bool is_guaranteed_digit_pair(int n0, Side side, int d_in, int d_out) {
   return d_in % n0 == d_out % n0;                       // columns match
 }
 
+std::vector<std::uint64_t> matched_pair_counts(const BilinearAlgorithm& alg,
+                                               Side side,
+                                               const BaseMatching& mu) {
+  std::vector<std::uint64_t> m(static_cast<std::size_t>(alg.b()), 0);
+  for (const auto& [d_in, d_out] : guaranteed_pairs(alg.n0(), side)) {
+    ++m[static_cast<std::size_t>(mu.product(d_in, d_out))];
+  }
+  return m;
+}
+
 bool h_edge(const BilinearAlgorithm& alg, Side side, int d_in, int d_out,
             int q) {
   const auto& enc = side == Side::A ? alg.u(q, d_in) : alg.v(q, d_in);

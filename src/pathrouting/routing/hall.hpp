@@ -55,6 +55,14 @@ class BaseMatching {
 /// dependence: rows match for A-inputs, columns match for B-inputs.
 bool is_guaranteed_digit_pair(int n0, Side side, int d_in, int d_out);
 
+/// M_side[q] = #{guaranteed digit pairs (d_in, d_out) that `mu` matches
+/// to product q}, size b: the per-digit factor of the closed-form
+/// Lemma-3 hit counts (memo_routing.hpp) and of their overflow
+/// envelopes (analysis/envelope.hpp).
+std::vector<std::uint64_t> matched_pair_counts(const BilinearAlgorithm& alg,
+                                               Side side,
+                                               const BaseMatching& mu);
+
 /// True iff the edge (d_in,d_out)-q exists in H.
 bool h_edge(const BilinearAlgorithm& alg, Side side, int d_in, int d_out,
             int q);

@@ -9,10 +9,8 @@ namespace pathrouting::routing {
 
 namespace {
 
-using cdag::CopyBlock;
 using cdag::CopyTranslation;
 using cdag::Layout;
-using cdag::SubComputation;
 
 /// n0^0 .. n0^k as plain uint64 (layout pow tables cover a and b only).
 std::vector<std::uint64_t> pow_n0_table(int n0, int k) {
@@ -22,21 +20,6 @@ std::vector<std::uint64_t> pow_n0_table(int n0, int k) {
         pow[static_cast<std::size_t>(t) - 1] * static_cast<std::uint64_t>(n0);
   }
   return pow;
-}
-
-/// M_side[q] = #{guaranteed digit pairs (d, e) matched to product q}.
-std::vector<std::uint64_t> matched_pair_counts(const BilinearAlgorithm& alg,
-                                               Side side,
-                                               const BaseMatching& mu) {
-  std::vector<std::uint64_t> m(static_cast<std::size_t>(alg.b()), 0);
-  for (int d = 0; d < alg.a(); ++d) {
-    for (int e = 0; e < alg.a(); ++e) {
-      if (is_guaranteed_digit_pair(alg.n0(), side, d, e)) {
-        ++m[static_cast<std::size_t>(mu.product(d, e))];
-      }
-    }
-  }
-  return m;
 }
 
 /// Prefix products P_t[q_1..q_t] = prod_i M[q_i] for t = 0..k; the
@@ -89,8 +72,8 @@ std::vector<DigitStates> wrapped_state_levels(
       }
     }
     PR_REQUIRE_MSG(next.size() <= (std::size_t{1} << 20),
-                   "digit-state classes exploded; implicit engine assumes "
-                   "few distinct matched-pair products");
+                   "digit-state classes exploded; the engine assumes few "
+                   "distinct matched-pair products");
   }
   return levels;
 }
@@ -100,7 +83,7 @@ std::vector<DigitStates> wrapped_state_levels(
 /// in local id order (encA 0..k, encB 0..k, dec 0..k) and within a rank
 /// the count is constant in the position word, so per rank the winner
 /// is the best class (largest value, then smallest word) at position 0.
-/// Strict > across ranks keeps the earliest id, matching the explicit
+/// Strict > across ranks keeps the earliest id, matching the brute
 /// v = 0..n scan even when wraparound reorders values.
 struct LocalExtremum {
   std::uint64_t max = 0;
@@ -161,51 +144,28 @@ const char* engine_name(EngineKind kind) {
       return "brute";
     case EngineKind::kMemo:
       return "memo";
-    case EngineKind::kImplicit:
-      return "implicit";
   }
   PR_UNREACHABLE();
 }
 
 struct MemoRoutingEngine::CanonicalCounts {
-  explicit CanonicalCounts(Layout layout) : layout(std::move(layout)) {}
-  Layout layout;  // the standalone canonical G_k
   std::vector<std::uint64_t> chain_hits;
-  std::uint64_t chain_max = 0;
-  VertexId chain_argmax = 0;
   std::vector<std::uint64_t> decode_hits;  // empty without a decoder
-  std::uint64_t decode_max = 0;
-  VertexId decode_argmax = 0;
 };
 
 MemoRoutingEngine::~MemoRoutingEngine() = default;
 
 MemoRoutingEngine::MemoRoutingEngine(const ChainRouter& router)
     : alg_(router.algorithm()),
-      mu_a_(router.matching(Side::A)),
-      mu_b_(router.matching(Side::B)),
-      m_a_(matched_pair_counts(alg_, Side::A, mu_a_)),
-      m_b_(matched_pair_counts(alg_, Side::B, mu_b_)) {
+      m_a_(matched_pair_counts(alg_, Side::A, router.matching(Side::A))),
+      m_b_(matched_pair_counts(alg_, Side::B, router.matching(Side::B))) {
   // Trivial (single-coefficient-1) encoding rows, i.e. the builder's
-  // copy vertices: the implicit Theorem-2 accounting needs them for the
+  // copy vertices: the Theorem-2 accounting needs them for the
   // root-hit and meta-root conditions.
-  triv_a_.assign(static_cast<std::size_t>(alg_.b()), 0);
-  triv_b_.assign(static_cast<std::size_t>(alg_.b()), 0);
-  for (int q = 0; q < alg_.b(); ++q) {
-    for (const Side side : {Side::A, Side::B}) {
-      int nnz = 0, entry = 0;
-      for (int d = 0; d < alg_.a(); ++d) {
-        const auto& c = side == Side::A ? alg_.u(q, d) : alg_.v(q, d);
-        if (!c.is_zero()) {
-          ++nnz;
-          entry = d;
-        }
-      }
-      const bool trivial =
-          nnz == 1 && (side == Side::A ? alg_.u(q, entry).is_one()
-                                       : alg_.v(q, entry).is_one());
-      auto& triv = side == Side::A ? triv_a_ : triv_b_;
-      triv[static_cast<std::size_t>(q)] = trivial ? 1 : 0;
+  for (const Side side : {Side::A, Side::B}) {
+    auto& triv = side == Side::A ? triv_a_ : triv_b_;
+    for (int q = 0; q < alg_.b(); ++q) {
+      triv.push_back(bilinear::is_trivial_row(alg_, side, q) ? 1 : 0);
     }
   }
 }
@@ -235,14 +195,6 @@ MemoRoutingEngine::MemoRoutingEngine(const ChainRouter& router,
   for (const std::uint64_t c : co_) co_sum_ += c;
 }
 
-void MemoRoutingEngine::check_sub(const SubComputation& sub) const {
-  const Layout& layout = sub.cdag().layout();
-  PR_REQUIRE_MSG(layout.n0() == alg_.n0() && layout.b() == alg_.b(),
-                 "subcomputation belongs to a different base algorithm");
-  PR_REQUIRE_MSG(sub.k() >= 1,
-                 "memoized engine routes G_k copies with k >= 1");
-}
-
 const MemoRoutingEngine::CanonicalCounts& MemoRoutingEngine::canonical(
     int k) const {
   static obs::Counter obs_hits("memo.canonical_cache_hits");
@@ -258,8 +210,8 @@ const MemoRoutingEngine::CanonicalCounts& MemoRoutingEngine::canonical(
   obs_misses.add();
   const obs::TraceSpan span("memo.canonical_fill");
 
-  auto cc = std::make_unique<CanonicalCounts>(Layout(alg_.n0(), alg_.b(), k));
-  const Layout& local = cc->layout;
+  auto cc = std::make_unique<CanonicalCounts>();
+  const Layout local(alg_.n0(), alg_.b(), k);
   const auto& pow_a = local.pow_a();
   const auto& pow_b = local.pow_b();
   const std::vector<std::uint64_t> pow_n0 = pow_n0_table(alg_.n0(), k);
@@ -295,12 +247,6 @@ const MemoRoutingEngine::CanonicalCounts& MemoRoutingEngine::canonical(
       }
     }
   }
-  for (VertexId v = 0; v < local.num_vertices(); ++v) {
-    if (cc->chain_hits[v] > cc->chain_max) {
-      cc->chain_max = cc->chain_hits[v];
-      cc->chain_argmax = v;
-    }
-  }
 
   // --- Claim-1 decode hits, closed form (see header). ---
   if (decoder_.has_value()) {
@@ -324,12 +270,6 @@ const MemoRoutingEngine::CanonicalCounts& MemoRoutingEngine::canonical(
     for (std::uint64_t p = 0; p < pow_a(k); ++p) {
       cc->decode_hits[local.dec(k, 0, p)] =
           co_[p / pow_a(k - 1)] * pow_b(k - 1);
-    }
-    for (VertexId v = 0; v < local.num_vertices(); ++v) {
-      if (cc->decode_hits[v] > cc->decode_max) {
-        cc->decode_max = cc->decode_hits[v];
-        cc->decode_argmax = v;
-      }
     }
   }
 
@@ -355,42 +295,40 @@ std::span<const std::uint64_t> MemoRoutingEngine::canonical_decode_hit_array(
   return canonical(k).decode_hits;
 }
 
-ChainHitCounts MemoRoutingEngine::chain_hits(const SubComputation& sub) const {
-  check_sub(sub);
-  const obs::TraceSpan span("memo.chain_hits");
-  const Layout& global = sub.cdag().layout();
-  const int k = sub.k();
-  const CanonicalCounts& cc = canonical(k);
-  const CopyTranslation map(global, k, sub.prefix());
-  ChainHitCounts counts;
-  counts.hits.assign(global.num_vertices(), 0);
-  for (const CopyBlock& blk : map.blocks()) {
-    std::copy_n(cc.chain_hits.begin() + blk.local_base, blk.length,
-                counts.hits.begin() + blk.global_base);
-  }
-  static obs::Counter obs_blocks("memo.copy_blocks");
-  obs_blocks.add(map.blocks().size());
-  counts.num_chains =
-      2 * global.pow_a()(k) * guaranteed_fanout(global, k);
-  // Blocks are monotone in both id spaces and everything outside the
-  // copy is zero, so the smallest-id argmax translates verbatim.
-  counts.max_hits = cc.chain_max;
-  counts.argmax = map.to_global(cc.chain_argmax);
-  return counts;
+void MemoRoutingEngine::check_view(const cdag::CdagView& view, int k,
+                                   std::uint64_t prefix) const {
+  const Layout& layout = view.layout();
+  PR_REQUIRE_MSG(layout.n0() == alg_.n0() && layout.b() == alg_.b(),
+                 "view belongs to a different base algorithm");
+  PR_REQUIRE_MSG(k >= 1 && k <= layout.r(),
+                 "the engine routes G_k copies with 1 <= k <= r");
+  PR_REQUIRE_MSG(prefix < layout.pow_b()(layout.r() - k),
+                 "copy prefix out of range");
 }
 
-HitStats MemoRoutingEngine::verify_chain_routing(
-    const SubComputation& sub) const {
-  return chain_stats_from_counts(chain_hits(sub), sub);
+HitStats MemoRoutingEngine::verify_chain_routing(const cdag::CdagView& view,
+                                                 int k,
+                                                 std::uint64_t prefix) const {
+  check_view(view, k, prefix);
+  const obs::TraceSpan span("memo.implicit_chain");
+  const Layout& global = view.layout();
+  const Layout local(alg_.n0(), alg_.b(), k);
+  const auto levels = wrapped_state_levels(m_a_, m_b_, alg_.b(), k);
+  const auto pow_n0 = pow_n0_table(alg_.n0(), k);
+  const LocalExtremum ext = scan_copy_extremum(local, levels, pow_n0, 1);
+  HitStats stats;
+  stats.num_paths = 2 * global.pow_a()(k) * guaranteed_fanout(global, k);
+  stats.bound = 2 * guaranteed_fanout(global, k);
+  stats.max_hits = ext.max;
+  // Copy blocks are monotone in both id spaces and counts vanish
+  // outside the copy, so the local smallest-id argmax translates.
+  stats.argmax = CopyTranslation(global, k, prefix).to_global(ext.argmax);
+  return stats;
 }
 
 bool MemoRoutingEngine::verify_chain_multiplicities(
-    const SubComputation& sub) const {
-  check_sub(sub);
-  return chain_multiplicities_ok();
-}
-
-bool MemoRoutingEngine::chain_multiplicities_ok() const {
+    const cdag::CdagView& view, int k, std::uint64_t prefix) const {
+  check_view(view, k, prefix);
   const int n0 = alg_.n0();
   const int a = alg_.a();
   // Role-resolved use counters of the 2*a*n0 guaranteed digit chains:
@@ -429,89 +367,10 @@ bool MemoRoutingEngine::chain_multiplicities_ok() const {
   }
   if (!all_guaranteed) return false;
   // Each digit chain carrying each role exactly n0 times at k = 1
-  // factorizes to exactly 3 * n0^k uses of every chain of sub.
+  // factorizes to exactly 3 * n0^k uses of every chain of the copy.
   return std::all_of(uses.begin(), uses.end(), [&](std::uint64_t u) {
     return u == static_cast<std::uint64_t>(n0);
   });
-}
-
-FullRoutingStats MemoRoutingEngine::verify_full_routing(
-    const SubComputation& sub) const {
-  return full_routing_from_chain_counts(sub, chain_hits(sub));
-}
-
-std::vector<std::uint64_t> MemoRoutingEngine::decode_hits(
-    const SubComputation& sub) const {
-  check_sub(sub);
-  PR_REQUIRE_MSG(has_decoder(),
-                 "engine was constructed without a DecodeRouter");
-  const obs::TraceSpan span("memo.decode_hits");
-  const Layout& global = sub.cdag().layout();
-  const CanonicalCounts& cc = canonical(sub.k());
-  const CopyTranslation map(global, sub.k(), sub.prefix());
-  std::vector<std::uint64_t> hits(global.num_vertices(), 0);
-  for (const CopyBlock& blk : map.blocks()) {
-    std::copy_n(cc.decode_hits.begin() + blk.local_base, blk.length,
-                hits.begin() + blk.global_base);
-  }
-  static obs::Counter obs_blocks("memo.copy_blocks");
-  obs_blocks.add(map.blocks().size());
-  return hits;
-}
-
-HitStats MemoRoutingEngine::verify_decode_routing(
-    const SubComputation& sub) const {
-  check_sub(sub);
-  PR_REQUIRE_MSG(has_decoder(),
-                 "engine was constructed without a DecodeRouter");
-  const Layout& global = sub.cdag().layout();
-  const int k = sub.k();
-  const CanonicalCounts& cc = canonical(k);
-  const CopyTranslation map(global, k, sub.prefix());
-  HitStats stats;
-  stats.num_paths = global.pow_b()(k) * global.pow_a()(k);
-  stats.bound = static_cast<std::uint64_t>(decoder_->d1_size()) *
-                std::max(global.pow_a()(k), global.pow_b()(k));
-  stats.max_hits = cc.decode_max;
-  stats.argmax = map.to_global(cc.decode_argmax);
-  return stats;
-}
-
-void MemoRoutingEngine::check_view(const cdag::CdagView& view, int k,
-                                   std::uint64_t prefix) const {
-  const Layout& layout = view.layout();
-  PR_REQUIRE_MSG(layout.n0() == alg_.n0() && layout.b() == alg_.b(),
-                 "view belongs to a different base algorithm");
-  PR_REQUIRE_MSG(k >= 1 && k <= layout.r(),
-                 "implicit engine routes G_k copies with 1 <= k <= r");
-  PR_REQUIRE_MSG(prefix < layout.pow_b()(layout.r() - k),
-                 "copy prefix out of range");
-}
-
-HitStats MemoRoutingEngine::verify_chain_routing(const cdag::CdagView& view,
-                                                 int k,
-                                                 std::uint64_t prefix) const {
-  check_view(view, k, prefix);
-  const obs::TraceSpan span("memo.implicit_chain");
-  const Layout& global = view.layout();
-  const Layout local(alg_.n0(), alg_.b(), k);
-  const auto levels = wrapped_state_levels(m_a_, m_b_, alg_.b(), k);
-  const auto pow_n0 = pow_n0_table(alg_.n0(), k);
-  const LocalExtremum ext = scan_copy_extremum(local, levels, pow_n0, 1);
-  HitStats stats;
-  stats.num_paths = 2 * global.pow_a()(k) * guaranteed_fanout(global, k);
-  stats.bound = 2 * guaranteed_fanout(global, k);
-  stats.max_hits = ext.max;
-  // Copy blocks are monotone in both id spaces and counts vanish
-  // outside the copy, so the local smallest-id argmax translates.
-  stats.argmax = CopyTranslation(global, k, prefix).to_global(ext.argmax);
-  return stats;
-}
-
-bool MemoRoutingEngine::verify_chain_multiplicities(
-    const cdag::CdagView& view, int k, std::uint64_t prefix) const {
-  check_view(view, k, prefix);
-  return chain_multiplicities_ok();
 }
 
 FullRoutingStats MemoRoutingEngine::verify_full_routing(
@@ -532,7 +391,7 @@ FullRoutingStats MemoRoutingEngine::verify_full_routing(
 
   const LocalExtremum ext = scan_copy_extremum(local, levels, pow_n0, mult);
   stats.max_vertex_hits = ext.max;
-  // The explicit path scans the whole global hit array; counts are zero
+  // The brute path scans the whole global hit array; counts are zero
   // outside the copy, so a positive max is first attained at the
   // translated local argmax (and a zero max leaves argmax at vertex 0).
   stats.argmax_vertex =
@@ -545,7 +404,7 @@ FullRoutingStats MemoRoutingEngine::verify_full_routing(
   // every realizable prefix-product class. At the copy boundary
   // (local rank 0, r > k), a trivial last prefix digit hangs the copy's
   // inputs (n0^k hits) off a zero-hit parent outside the copy — a
-  // guaranteed violation the explicit global scan also reports.
+  // guaranteed violation the brute global scan also reports.
   if (r > k && (triv_a_[prefix % b] != 0 || triv_b_[prefix % b] != 0)) {
     stats.root_hit_property = false;
   }
@@ -575,7 +434,7 @@ FullRoutingStats MemoRoutingEngine::verify_full_routing(
   // possible iff the side has a trivial row and the word is nonempty
   // (local rank < k). Counts are position-independent, so classes again
   // suffice; everything outside the copy contributes zero, like in the
-  // explicit scan.
+  // brute scan.
   for (const Side side : {Side::A, Side::B}) {
     const auto& m = side == Side::A ? m_a_ : m_b_;
     const auto& triv = side == Side::A ? triv_a_ : triv_b_;

@@ -1,16 +1,11 @@
-// Memoized, isomorphism-aware routing verification.
+// Closed-form routing verification.
 //
 // By Fact 1 the b^{r-k} copies of G_k inside G_r are pairwise
 // isomorphic, and the Lemma-3 / Theorem-2 / Claim-1 routings are
-// defined purely in G_k-local coordinates — so their per-vertex hit
+// defined purely in G_k-local coordinates, so their per-vertex hit
 // counts are IDENTICAL on every copy up to the Fact-1 vertex renaming
-// (cdag::CopyTranslation). The engine therefore computes each hit array
-// once, on a standalone canonical G_k, and translates it to any copy by
-// contiguous block copies.
-//
-// The canonical arrays themselves are not obtained by enumerating
-// chains either: the routings factor digit-by-digit, which collapses
-// the per-vertex counts to closed forms.
+// (cdag::CopyTranslation). The routings also factor digit by digit,
+// which collapses the per-vertex counts to closed forms.
 //
 //   Chains (Lemma 3). With M_side[q] = #{guaranteed digit pairs (d,e)
 //   with mu_side(d,e) = q} and the prefix products
@@ -30,14 +25,17 @@
 //   digit chain carrying each of the three sequence roles exactly n0
 //   times at k = 1 lifts to exactly 3*n0^k uses per chain at any k.
 //
-// Filling an array costs O(num_vertices) instead of
-// O(num_chains * (2k+2)); everything downstream (max, argmax,
-// Theorem-2 aggregation) is shared with the brute-force engine, whose
-// enumerating counters (count_chain_hits, count_decode_hits) remain
-// the oracle the memoized results are cross-checked against in tests
-// and benchmarks. Closed-form hit *totals* double as certificates the
-// audit layer compares against the materialized arrays
-// (routing.memo-totals).
+// Every certificate statistic (max, smallest-id argmax, Theorem-2
+// root/meta accounting) comes from one digit-state DP over (k, prefix)
+// that evaluates these forms without a per-vertex array or a
+// materialized CDAG. The brute-force engine's enumerating counters
+// (count_chain_hits, count_decode_hits) remain the oracle it is
+// checked against in tests, benchmarks and the routing.implicit-match
+// audit rule. The canonical per-vertex arrays are still filled from
+// the same closed forms for two jobs: the certificate service digests
+// them, and tests and benches compare them bit for bit with brute.
+// Closed-form hit *totals* double as certificates the audit layer
+// reconciles those arrays against (routing.memo-totals).
 #pragma once
 
 #include <cstdint>
@@ -56,9 +54,10 @@
 
 namespace pathrouting::routing {
 
-/// Which verification engine produced a result (benchmarks and audit
-/// reports tag their records with this).
-enum class EngineKind { kBrute, kMemo, kImplicit };
+/// Which verification engine produced a result (benchmark records tag
+/// themselves with engine_name): the brute-force oracle, or this
+/// closed-form engine.
+enum class EngineKind { kBrute, kMemo };
 [[nodiscard]] const char* engine_name(EngineKind kind);
 
 class MemoRoutingEngine {
@@ -73,52 +72,30 @@ class MemoRoutingEngine {
   [[nodiscard]] bool has_decoder() const { return decoder_.has_value(); }
   [[nodiscard]] const BilinearAlgorithm& algorithm() const { return alg_; }
 
-  /// Lemma-3 hit counts of `sub`, bit-identical to
-  /// count_chain_hits(router, sub) (the brute oracle). Requires
-  /// sub.k() >= 1 and a CDAG of the engine's base algorithm.
-  [[nodiscard]] ChainHitCounts chain_hits(const cdag::SubComputation& sub) const;
-  [[nodiscard]] HitStats verify_chain_routing(
-      const cdag::SubComputation& sub) const;
-
-  /// Lemma 4's accounting, decided at the digit level (O(a^2) work):
-  /// true iff every guaranteed digit chain carries each of the three
-  /// sequence roles exactly n0 times, which lifts to exactly 3*n0^k
-  /// uses of every chain of `sub`.
-  [[nodiscard]] bool verify_chain_multiplicities(
-      const cdag::SubComputation& sub) const;
-
-  /// Theorem 2 from the memoized chain counts (same aggregation path
-  /// as verify_full_routing_aggregated).
-  [[nodiscard]] FullRoutingStats verify_full_routing(
-      const cdag::SubComputation& sub) const;
-
-  /// Claim-1 hit counts / verdict; requires has_decoder().
-  [[nodiscard]] std::vector<std::uint64_t> decode_hits(
-      const cdag::SubComputation& sub) const;
-  [[nodiscard]] HitStats verify_decode_routing(
-      const cdag::SubComputation& sub) const;
-
-  /// Constant-memory (implicit-engine) counterparts of the verifiers
-  /// above. They address the copy G_k^prefix inside `view` directly by
-  /// (k, prefix) — a SubComputation needs a materialized Cdag, which is
-  /// exactly what this path avoids — and never allocate a per-vertex
-  /// array: within a rank the hit counts depend only on the wrapped
-  /// prefix products of the recursion-path digits, so one DP over
-  /// digit-state classes (pairs of wrapped products, with the smallest
-  /// representative word per class) reproduces the canonical scans —
-  /// max, smallest-id argmax, Theorem-2 root/meta accounting — in
+  /// The verifiers of the copy G_k^prefix inside `view`, addressed by
+  /// (k, prefix): 1 <= k <= view.layout().r(), prefix < b^(r-k), and a
+  /// view of the engine's base algorithm. Within a rank the hit counts
+  /// depend only on the wrapped prefix products of the recursion-path
+  /// digits, so one DP over digit-state classes (pairs of wrapped
+  /// products, with the smallest representative word per class)
+  /// yields max, smallest-id argmax (translated to the view's global
+  /// ids) and the Theorem-2 root/meta accounting in
   /// O(k * b * #states) time and memory. Results are bit-identical to
-  /// the array-backed overloads for every k where both run, including
-  /// uint64 wraparound and argmax tie-breaking (enforced by the audit
-  /// rule routing.implicit-match and tests/test_implicit_cdag).
+  /// the brute-force verifiers on the same subcomputation, including
+  /// uint64 wraparound and argmax tie-breaking.
   [[nodiscard]] HitStats verify_chain_routing(const cdag::CdagView& view,
                                               int k,
                                               std::uint64_t prefix) const;
+  /// Lemma 4's accounting, decided at the digit level (O(a^2) work):
+  /// true iff every guaranteed digit chain carries each of the three
+  /// sequence roles exactly n0 times, which lifts to exactly 3*n0^k
+  /// uses of every chain of the copy.
   [[nodiscard]] bool verify_chain_multiplicities(const cdag::CdagView& view,
                                                  int k,
                                                  std::uint64_t prefix) const;
   [[nodiscard]] FullRoutingStats verify_full_routing(
       const cdag::CdagView& view, int k, std::uint64_t prefix) const;
+  /// Claim 1; requires has_decoder().
   [[nodiscard]] HitStats verify_decode_routing(const cdag::CdagView& view,
                                                int k,
                                                std::uint64_t prefix) const;
@@ -131,13 +108,13 @@ class MemoRoutingEngine {
   [[nodiscard]] std::uint64_t expected_num_decode_paths(int k) const;
   [[nodiscard]] std::uint64_t expected_decode_total_hits(int k) const;
 
-  /// The canonical G_k per-vertex hit arrays themselves (local ids of
-  /// the standalone canonical layout). For the whole-graph
-  /// subcomputation sub(G_k, k, 0) the Fact-1 translation is the
-  /// identity, so these are bit-identical to chain_hits(sub).hits /
-  /// decode_hits(sub) — the certificate service digests them without
-  /// ever materializing a CDAG. The spans stay valid for the engine's
-  /// lifetime (cache entries are never evicted).
+  /// The canonical G_k per-vertex hit arrays (local ids of the
+  /// standalone canonical layout). On the whole graph G_k the Fact-1
+  /// renaming is the identity, so these are bit-identical to
+  /// count_chain_hits / count_decode_hits on sub(G_k, k, 0): the
+  /// certificate service digests them without ever materializing a
+  /// CDAG. The spans stay valid for the engine's lifetime (cache
+  /// entries are never evicted).
   [[nodiscard]] std::span<const std::uint64_t> canonical_chain_hit_array(
       int k) const;
   /// Requires has_decoder().
@@ -156,15 +133,10 @@ class MemoRoutingEngine {
   /// requests from one shared engine arena.
   struct CanonicalCounts;
   [[nodiscard]] const CanonicalCounts& canonical(int k) const;
-  void check_sub(const cdag::SubComputation& sub) const;
   void check_view(const cdag::CdagView& view, int k,
                   std::uint64_t prefix) const;
-  /// Lemma 4's digit-level accounting, shared by both overloads.
-  [[nodiscard]] bool chain_multiplicities_ok() const;
 
   BilinearAlgorithm alg_;
-  BaseMatching mu_a_;
-  BaseMatching mu_b_;
   std::vector<std::uint64_t> m_a_, m_b_;   // M_side[q], size b
   std::vector<std::uint8_t> triv_a_, triv_b_;  // trivial encoding rows
   std::optional<DecodeRouter> decoder_;

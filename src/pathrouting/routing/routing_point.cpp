@@ -24,28 +24,26 @@ double seconds_since(Clock::time_point t0) {
 ChainPoint run_chain_point(const RoutingSpec& spec) {
   const BilinearAlgorithm alg = bilinear::by_name(spec.algorithm);
   const ChainRouter router(alg);
-  const MemoRoutingEngine memo(router);
   ChainPoint point;
   point.spec = spec;
   const int k = spec.k;
-  if (spec.engine == EngineKind::kImplicit) {
+  if (spec.engine == EngineKind::kBrute) {
+    const cdag::Cdag graph(alg, k, {.with_coefficients = false});
+    const cdag::SubComputation sub(graph, k, 0);
     const Clock::time_point t0 = Clock::now();
-    const cdag::ImplicitCdag view(alg, k);
-    point.l3 = memo.verify_chain_routing(view, k, 0);
-    point.l4 = memo.verify_chain_multiplicities(view, k, 0);
-    point.t2 = memo.verify_full_routing(view, k, 0);
+    point.counts = count_chain_hits(router, sub);
+    point.l3 = chain_stats_from_counts(point.counts, sub);
+    point.l4 = verify_chain_multiplicities(router, sub);
+    point.t2 = full_routing_from_chain_counts(sub, point.counts);
     point.seconds = seconds_since(t0);
     return point;
   }
-  const cdag::Cdag graph(alg, k, {.with_coefficients = false});
-  const cdag::SubComputation sub(graph, k, 0);
-  const bool brute = spec.engine == EngineKind::kBrute;
+  const MemoRoutingEngine memo(router);
   const Clock::time_point t0 = Clock::now();
-  point.counts = brute ? count_chain_hits(router, sub) : memo.chain_hits(sub);
-  point.l3 = chain_stats_from_counts(point.counts, sub);
-  point.l4 = brute ? verify_chain_multiplicities(router, sub)
-                   : memo.verify_chain_multiplicities(sub);
-  point.t2 = full_routing_from_chain_counts(sub, point.counts);
+  const cdag::ImplicitCdag view(alg, k);
+  point.l3 = memo.verify_chain_routing(view, k, 0);
+  point.l4 = memo.verify_chain_multiplicities(view, k, 0);
+  point.t2 = memo.verify_full_routing(view, k, 0);
   point.seconds = seconds_since(t0);
   return point;
 }
@@ -54,27 +52,22 @@ DecodePoint run_decode_point(const RoutingSpec& spec) {
   const BilinearAlgorithm alg = bilinear::by_name(spec.algorithm);
   const ChainRouter router(alg);
   const DecodeRouter decoder(alg);
-  const MemoRoutingEngine memo(router, decoder);
   DecodePoint point;
   point.spec = spec;
   const int k = spec.k;
-  if (spec.engine == EngineKind::kImplicit) {
+  if (spec.engine == EngineKind::kBrute) {
+    const cdag::Cdag graph(alg, k, {.with_coefficients = false});
+    const cdag::SubComputation sub(graph, k, 0);
     const Clock::time_point t0 = Clock::now();
-    const cdag::ImplicitCdag view(alg, k);
-    point.stats = memo.verify_decode_routing(view, k, 0);
+    point.hits = count_decode_hits(decoder, sub);
+    point.stats = decode_stats_from_hits(decoder, sub, point.hits);
     point.seconds = seconds_since(t0);
     return point;
   }
-  const cdag::Cdag graph(alg, k, {.with_coefficients = false});
-  const cdag::SubComputation sub(graph, k, 0);
+  const MemoRoutingEngine memo(router, decoder);
   const Clock::time_point t0 = Clock::now();
-  if (spec.engine == EngineKind::kBrute) {
-    point.hits = count_decode_hits(decoder, sub);
-    point.stats = decode_stats_from_hits(decoder, sub, point.hits);
-  } else {
-    point.hits = memo.decode_hits(sub);
-    point.stats = memo.verify_decode_routing(sub);
-  }
+  const cdag::ImplicitCdag view(alg, k);
+  point.stats = memo.verify_decode_routing(view, k, 0);
   point.seconds = seconds_since(t0);
   return point;
 }
@@ -117,10 +110,8 @@ RoutingSpec routing_spec_from_record(obs::RecordReader& in) {
   spec.k = static_cast<int>(in.integer("k", 1, INT_MAX));
   const std::string engine =
       in.one_of("engine", {"brute", "memo", "implicit"});
-  for (const EngineKind kind :
-       {EngineKind::kBrute, EngineKind::kMemo, EngineKind::kImplicit}) {
-    if (engine == engine_name(kind)) spec.engine = kind;
-  }
+  spec.engine = engine == engine_name(EngineKind::kBrute) ? EngineKind::kBrute
+                                                          : EngineKind::kMemo;
   if (in.ok() && experiment == "decode_routing" &&
       bilinear::decoding_components(bilinear::by_name(spec.algorithm)) != 1) {
     in.reject("algorithm",

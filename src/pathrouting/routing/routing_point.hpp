@@ -9,13 +9,14 @@
 //   decode_routing: Claim 1 (zig-zags hit a vertex of D_k at most
 //                   |D_1| max(a,b)^k times).
 //
-// The brute engine enumerates every path (the oracle), the memo engine
-// fills the same hit arrays from closed forms, and the implicit engine
-// evaluates the closed forms on cdag::ImplicitCdag without
-// materializing G_k. Brute and memo points keep their hit arrays so
-// the bench can compare engines bit for bit. `seconds` times the
-// engine alone: the CDAG build is outside the clock, the implicit
-// view's construction inside it.
+// The brute engine enumerates every path on a materialized G_k (the
+// oracle) and keeps its per-vertex hit arrays in the point. The memo
+// engine evaluates the closed forms by one digit-state DP on
+// cdag::ImplicitCdag and never builds G_k; its records are tagged
+// "memo" (BENCH_implicit_cdag.json tags the same engine "implicit",
+// and both names read back as EngineKind::kMemo). `seconds` times the
+// engine alone: the CDAG build and the engine's construction are
+// outside the clock, the implicit view's construction inside it.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +40,7 @@ struct ChainPoint {
   HitStats l3;
   bool l4 = false;
   FullRoutingStats t2;
-  ChainHitCounts counts;  // empty for the implicit engine
+  ChainHitCounts counts;  // brute engine only
   double seconds = 0;
   [[nodiscard]] bool ok() const { return l3.ok() && l4 && t2.ok(); }
 };
@@ -47,7 +48,7 @@ struct ChainPoint {
 struct DecodePoint {
   RoutingSpec spec;
   HitStats stats;
-  std::vector<std::uint64_t> hits;  // empty for the implicit engine
+  std::vector<std::uint64_t> hits;  // brute engine only
   double seconds = 0;
 };
 

@@ -110,12 +110,16 @@ TEST(Audit, RoutingSuitesCleanOnStrassen) {
   const cdag::Cdag c(bilinear::strassen(), 2, {.with_coefficients = false});
   const routing::ChainRouter router(c.algorithm());
   const cdag::SubComputation sub(c, 1, 0);
-  EXPECT_TRUE(audit::audit_chain_routing(router, sub).ok());
+  EXPECT_TRUE(audit::audit_chain_routing(
+                  router, sub, routing::count_chain_hits(router, sub).hits)
+                  .ok());
   EXPECT_TRUE(audit::audit_concat_routing(router, sub).ok());
 
   ASSERT_EQ(bilinear::decoding_components(c.algorithm()), 1);
   const routing::DecodeRouter decode(c.algorithm());
-  EXPECT_TRUE(audit::audit_decode_routing(decode, sub).ok());
+  EXPECT_TRUE(audit::audit_decode_routing(
+                  decode, sub, routing::count_decode_hits(decode, sub))
+                  .ok());
 
   for (const auto side : {bilinear::Side::A, bilinear::Side::B}) {
     const auto matching = routing::compute_base_matching(c.algorithm(), side);

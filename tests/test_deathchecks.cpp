@@ -510,6 +510,12 @@ struct MemoFixture {
   routing::MemoRoutingEngine engine{router};
   cdag::SubComputation sub{cdag, 1, 0};
 
+  /// The engine's closed-form Lemma-3 stats of `sub`.
+  [[nodiscard]] routing::HitStats stats() const {
+    return engine.verify_chain_routing(cdag::ExplicitView(cdag), sub.k(),
+                                       sub.prefix());
+  }
+
   AuditReport audit_blocks(const std::vector<cdag::CopyBlock>& blocks,
                            const std::string& rule) {
     return audit::audit_copy_translation(cdag.layout(), sub.k(), sub.prefix(),
@@ -547,10 +553,15 @@ TEST(AuditMutation, CopyBijectionCatchesShiftedGlobalRun) {
 
 TEST(AuditMutation, MemoTotalsCatchesCorruptedHitArray) {
   MemoFixture f;
-  routing::ChainHitCounts counts = f.engine.chain_hits(f.sub);
-  counts.hits[f.cdag.layout().product(0)] += 1;  // total no longer reconciles
+  const std::span<const std::uint64_t> canonical =
+      f.engine.canonical_chain_hit_array(f.sub.k());
+  std::vector<std::uint64_t> hits(canonical.begin(), canonical.end());
+  const cdag::Layout& global = f.cdag.layout();
+  const cdag::Layout local(global.n0(), global.b(), f.sub.k());
+  hits[local.product(0)] += 1;  // total no longer reconciles
   const auto report = audit::audit_memo_chain_counts(
-      f.engine, f.sub, counts, RuleSelection::only({"routing.memo-totals"}));
+      f.engine, f.sub, hits, f.stats(),
+      RuleSelection::only({"routing.memo-totals"}));
   const auto& diag = first_finding(report, "routing.memo-totals");
   EXPECT_TRUE(diag.has_counts);
   EXPECT_EQ(diag.expected, f.engine.expected_chain_total_hits(f.sub.k()));
@@ -559,10 +570,11 @@ TEST(AuditMutation, MemoTotalsCatchesCorruptedHitArray) {
 
 TEST(AuditMutation, MemoTotalsCatchesStaleArgmax) {
   MemoFixture f;
-  routing::ChainHitCounts counts = f.engine.chain_hits(f.sub);
-  counts.argmax += 1;  // no longer the smallest-id maximum
+  routing::HitStats stats = f.stats();
+  stats.argmax += 1;  // no longer the smallest-id maximum
   const auto report = audit::audit_memo_chain_counts(
-      f.engine, f.sub, counts, RuleSelection::only({"routing.memo-totals"}));
+      f.engine, f.sub, f.engine.canonical_chain_hit_array(f.sub.k()), stats,
+      RuleSelection::only({"routing.memo-totals"}));
   const auto& diag = first_finding(report, "routing.memo-totals");
   EXPECT_TRUE(diag.has_counts);
 }

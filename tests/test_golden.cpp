@@ -21,7 +21,9 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <ostream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -46,7 +48,7 @@ using namespace pathrouting;  // NOLINT
 /// The corpus pins the entire per-vertex hit array behind one digest.
 /// Same definition as the certificate store key (support/digest.hpp);
 /// its constants are pinned by test_support.cpp.
-std::uint64_t fnv1a(const std::vector<std::uint64_t>& values) {
+std::uint64_t fnv1a(std::span<const std::uint64_t> values) {
   return support::fnv1a_words(values);
 }
 
@@ -65,9 +67,10 @@ void append_matching(std::ostringstream& os, const char* label,
 /// Implicit-engine certificate lines for k = 1..kmax_implicit. The
 /// constant-memory verifiers pin their stats (argmax vertex ids
 /// included) well past the explicit vertex budget; equality with the
-/// array-backed engine below that budget is enforced by
-/// tests/test_implicit_cdag and the routing.implicit-match audit rule,
-/// so these lines freeze the deep-k values no other engine reaches.
+/// brute-force oracle below that budget is enforced by
+/// tests/test_memo_routing, tests/test_implicit_cdag and the
+/// routing.implicit-match audit rule, so these lines freeze the deep-k
+/// values no other engine reaches.
 void append_implicit(std::ostringstream& os,
                      const routing::MemoRoutingEngine& memo,
                      const bilinear::BilinearAlgorithm& alg,
@@ -120,49 +123,44 @@ std::string golden_text(const std::string& name, int kmax) {
                   alg.a());
   append_matching(os, "hall_mu_b", router.matching(bilinear::Side::B),
                   alg.a());
-  if (!decode) {
-    const routing::MemoRoutingEngine memo(router);
+  std::optional<routing::DecodeRouter> decoder;
+  std::optional<routing::MemoRoutingEngine> memo;
+  if (decode) {
+    decoder.emplace(alg);
+    memo.emplace(router, *decoder);
+    os << "decode d1 " << decoder->d1_size() << "\n";
+  } else {
+    memo.emplace(router);
     os << "decode none\n";
-    for (int k = 1; k <= kmax; ++k) {
-      const cdag::Cdag graph(alg, k, {.with_coefficients = false});
-      const cdag::SubComputation sub(graph, k, 0);
-      const routing::ChainHitCounts counts = memo.chain_hits(sub);
-      const routing::HitStats l3 = routing::chain_stats_from_counts(counts, sub);
-      const routing::FullRoutingStats t2 =
-          routing::full_routing_from_chain_counts(sub, counts);
-      os << "k " << k << " chains " << counts.num_chains << " l3_max "
-         << l3.max_hits << " l3_bound " << l3.bound << " l4 "
-         << memo.verify_chain_multiplicities(sub) << " t2_max "
-         << t2.max_vertex_hits << " t2_meta " << t2.max_meta_hits
-         << " t2_bound " << t2.bound << " chain_fnv " << fnv1a(counts.hits)
-         << "\n";
-    }
-    append_implicit(os, memo, alg, kmax + 6);
-    return os.str();
   }
-  const routing::DecodeRouter decoder(alg);
-  const routing::MemoRoutingEngine memo(router, decoder);
-  os << "decode d1 " << decoder.d1_size() << "\n";
+  // Up to kmax the lines pin the closed-form stats, the digests of the
+  // canonical hit arrays, and the Theorem-2 verdict the brute-side
+  // helper derives from the chain array on the materialized G_k.
   for (int k = 1; k <= kmax; ++k) {
     const cdag::Cdag graph(alg, k, {.with_coefficients = false});
     const cdag::SubComputation sub(graph, k, 0);
-    const routing::ChainHitCounts counts = memo.chain_hits(sub);
-    const routing::HitStats l3 = routing::chain_stats_from_counts(counts, sub);
+    const cdag::ExplicitView view(graph);
+    const std::span<const std::uint64_t> chain =
+        memo->canonical_chain_hit_array(k);
+    routing::ChainHitCounts counts;
+    counts.hits.assign(chain.begin(), chain.end());
+    const routing::HitStats l3 = memo->verify_chain_routing(view, k, 0);
     const routing::FullRoutingStats t2 =
         routing::full_routing_from_chain_counts(sub, counts);
-    os << "k " << k << " chains " << counts.num_chains << " l3_max "
+    os << "k " << k << " chains " << l3.num_paths << " l3_max "
        << l3.max_hits << " l3_bound " << l3.bound << " l4 "
-       << memo.verify_chain_multiplicities(sub) << " t2_max "
+       << memo->verify_chain_multiplicities(view, k, 0) << " t2_max "
        << t2.max_vertex_hits << " t2_meta " << t2.max_meta_hits
-       << " t2_bound " << t2.bound << " chain_fnv " << fnv1a(counts.hits)
-       << "\n";
-    const std::vector<std::uint64_t> hits = memo.decode_hits(sub);
-    const routing::HitStats stats = memo.verify_decode_routing(sub);
-    os << "k " << k << " decode_paths " << stats.num_paths << " decode_max "
-       << stats.max_hits << " decode_bound " << stats.bound << " decode_fnv "
-       << fnv1a(hits) << "\n";
+       << " t2_bound " << t2.bound << " chain_fnv " << fnv1a(chain) << "\n";
+    if (decode) {
+      const routing::HitStats stats = memo->verify_decode_routing(view, k, 0);
+      os << "k " << k << " decode_paths " << stats.num_paths
+         << " decode_max " << stats.max_hits << " decode_bound "
+         << stats.bound << " decode_fnv "
+         << fnv1a(memo->canonical_decode_hit_array(k)) << "\n";
+    }
   }
-  append_implicit(os, memo, alg, kmax + 6);
+  append_implicit(os, *memo, alg, kmax + 6);
   return os.str();
 }
 

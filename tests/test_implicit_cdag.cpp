@@ -13,12 +13,15 @@
 //     same replay contract as test_properties) sampling random
 //     vertices of the 5.7M-vertex Strassen graph;
 //   * engine-level identity: the constant-memory verifiers reproduce
-//     the array-backed memoized certificates field by field, including
-//     argmax tie-breaks, for every k where both run.
+//     the stats the brute-side helpers derive from the canonical hit
+//     arrays field by field, including argmax tie-breaks, for every k
+//     where the explicit graph fits.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -149,7 +152,9 @@ TEST(ImplicitViewProperty, RandomVerticesMatchExplicitAtK7) {
   }
 }
 
-/// Field-by-field comparison of both verifier families on one (alg, k).
+/// The closed-form verifiers on the view against the stats the
+/// brute-side helpers derive from the canonical hit arrays (on the
+/// whole G_k the Fact-1 renaming is the identity), field by field.
 void expect_engines_identical(const bilinear::BilinearAlgorithm& alg, int k) {
   const routing::ChainRouter router(alg);
   const bool decode = bilinear::decoding_components(alg) == 1;
@@ -165,17 +170,29 @@ void expect_engines_identical(const bilinear::BilinearAlgorithm& alg, int k) {
   const cdag::SubComputation sub(graph, k, 0);
   const cdag::ImplicitCdag view(alg, k);
 
-  const routing::HitStats l3_e = engine->verify_chain_routing(sub);
+  const std::span<const std::uint64_t> hits =
+      engine->canonical_chain_hit_array(k);
+  routing::ChainHitCounts counts;
+  counts.hits.assign(hits.begin(), hits.end());
+  counts.num_chains = engine->expected_num_chains(k);
+  for (VertexId v = 0; v < counts.hits.size(); ++v) {
+    if (counts.hits[v] > counts.max_hits) {
+      counts.max_hits = counts.hits[v];
+      counts.argmax = v;
+    }
+  }
+
+  const routing::HitStats l3_e = routing::chain_stats_from_counts(counts, sub);
   const routing::HitStats l3_i = engine->verify_chain_routing(view, k, 0);
   EXPECT_EQ(l3_i.num_paths, l3_e.num_paths);
   EXPECT_EQ(l3_i.max_hits, l3_e.max_hits);
   EXPECT_EQ(l3_i.bound, l3_e.bound);
   EXPECT_EQ(l3_i.argmax, l3_e.argmax);
 
-  EXPECT_EQ(engine->verify_chain_multiplicities(view, k, 0),
-            engine->verify_chain_multiplicities(sub));
+  EXPECT_TRUE(engine->verify_chain_multiplicities(view, k, 0));
 
-  const routing::FullRoutingStats t2_e = engine->verify_full_routing(sub);
+  const routing::FullRoutingStats t2_e =
+      routing::full_routing_from_chain_counts(sub, counts);
   const routing::FullRoutingStats t2_i =
       engine->verify_full_routing(view, k, 0);
   EXPECT_EQ(t2_i.num_paths, t2_e.num_paths);
@@ -186,7 +203,8 @@ void expect_engines_identical(const bilinear::BilinearAlgorithm& alg, int k) {
   EXPECT_EQ(t2_i.root_hit_property, t2_e.root_hit_property);
 
   if (decode) {
-    const routing::HitStats d_e = engine->verify_decode_routing(sub);
+    const routing::HitStats d_e = routing::decode_stats_from_hits(
+        *decoder, sub, engine->canonical_decode_hit_array(k));
     const routing::HitStats d_i = engine->verify_decode_routing(view, k, 0);
     EXPECT_EQ(d_i.num_paths, d_e.num_paths);
     EXPECT_EQ(d_i.max_hits, d_e.max_hits);

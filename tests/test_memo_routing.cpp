@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -32,7 +35,67 @@ std::uint64_t num_chains(const cdag::Layout& layout, int k) {
   return 2 * layout.pow_a()(k) * guaranteed_fanout(layout, k);
 }
 
-// --- The memoized engine against the enumerating oracle, full catalog. ---
+/// The canonical G_k array of copy `prefix` renamed into `global` ids
+/// (zero outside the copy), for bit-for-bit comparison with brute.
+std::vector<std::uint64_t> translated(std::span<const std::uint64_t> canonical,
+                                      const cdag::Layout& global, int k,
+                                      std::uint64_t prefix) {
+  const CopyTranslation map(global, k, prefix);
+  std::vector<std::uint64_t> out(global.num_vertices(), 0);
+  for (const CopyBlock& blk : map.blocks()) {
+    std::copy_n(canonical.begin() + blk.local_base, blk.length,
+                out.begin() + blk.global_base);
+  }
+  return out;
+}
+
+/// The closed-form chain, Lemma-4, Theorem-2 and (with a decoder)
+/// decode verdicts on the copy `sub` must equal the brute oracle's.
+/// The chain and decode bounds hold on every copy; the Theorem-2
+/// verdict is also asserted when `expect_full_ok` (copies at a nonzero
+/// prefix with a trivial last digit legitimately fail the root-hit
+/// property).
+void expect_stats_match_brute(const MemoRoutingEngine& engine,
+                              const ChainRouter& router,
+                              const DecodeRouter* decoder,
+                              const SubComputation& sub,
+                              const std::string& label,
+                              bool expect_full_ok) {
+  const cdag::ExplicitView view(sub.cdag());
+  const int k = sub.k();
+  const std::uint64_t prefix = sub.prefix();
+  const HitStats brute = verify_chain_routing(router, sub);
+  const HitStats memo = engine.verify_chain_routing(view, k, prefix);
+  EXPECT_EQ(memo, brute) << label;
+  EXPECT_TRUE(memo.ok()) << label;
+
+  const FullRoutingStats bfull = verify_full_routing_aggregated(router, sub);
+  const FullRoutingStats mfull = engine.verify_full_routing(view, k, prefix);
+  EXPECT_EQ(mfull.num_paths, bfull.num_paths) << label;
+  EXPECT_EQ(mfull.max_vertex_hits, bfull.max_vertex_hits) << label;
+  EXPECT_EQ(mfull.argmax_vertex, bfull.argmax_vertex) << label;
+  EXPECT_EQ(mfull.max_meta_hits, bfull.max_meta_hits) << label;
+  EXPECT_EQ(mfull.bound, bfull.bound) << label;
+  EXPECT_EQ(mfull.root_hit_property, bfull.root_hit_property) << label;
+  if (expect_full_ok) {
+    EXPECT_TRUE(mfull.ok()) << label;
+  }
+
+  // Lemma 4's multiplicity accounting: digit-level decision vs the
+  // enumerating counter.
+  EXPECT_EQ(engine.verify_chain_multiplicities(view, k, prefix),
+            verify_chain_multiplicities(router, sub))
+      << label;
+
+  if (decoder != nullptr) {
+    const HitStats dbrute = verify_decode_routing(*decoder, sub);
+    const HitStats dmemo = engine.verify_decode_routing(view, k, prefix);
+    EXPECT_EQ(dmemo, dbrute) << label;
+    EXPECT_TRUE(dmemo.ok()) << label;
+  }
+}
+
+// --- The closed-form engine against the enumerating oracle, full catalog.
 
 TEST(MemoRoutingTest, ChainHitsBitIdenticalToBruteAcrossCatalog) {
   for (const std::string& name : bilinear::catalog_names()) {
@@ -48,11 +111,11 @@ TEST(MemoRoutingTest, ChainHitsBitIdenticalToBruteAcrossCatalog) {
       const Cdag cdag(alg, k);
       const SubComputation sub(cdag, k, 0);
       const ChainHitCounts brute = count_chain_hits(router, sub);
-      const ChainHitCounts memo = engine.chain_hits(sub);
-      EXPECT_EQ(memo.hits, brute.hits) << name << " k=" << k;
-      EXPECT_EQ(memo.num_chains, brute.num_chains) << name << " k=" << k;
-      EXPECT_EQ(memo.max_hits, brute.max_hits) << name << " k=" << k;
-      EXPECT_EQ(memo.argmax, brute.argmax) << name << " k=" << k;
+      const std::span<const std::uint64_t> canonical =
+          engine.canonical_chain_hit_array(k);
+      EXPECT_TRUE(std::equal(canonical.begin(), canonical.end(),
+                             brute.hits.begin(), brute.hits.end()))
+          << name << " k=" << k;
       // The closed-form total is the certificate the audit layer
       // checks; it must match what the enumeration actually deposited.
       const std::uint64_t total =
@@ -62,6 +125,11 @@ TEST(MemoRoutingTest, ChainHitsBitIdenticalToBruteAcrossCatalog) {
           << name << " k=" << k;
       EXPECT_EQ(engine.expected_num_chains(k), brute.num_chains)
           << name << " k=" << k;
+      const HitStats memo =
+          engine.verify_chain_routing(cdag::ExplicitView(cdag), k, 0);
+      EXPECT_EQ(memo.num_paths, brute.num_chains) << name << " k=" << k;
+      EXPECT_EQ(memo.max_hits, brute.max_hits) << name << " k=" << k;
+      EXPECT_EQ(memo.argmax, brute.argmax) << name << " k=" << k;
     }
   }
 }
@@ -78,30 +146,10 @@ TEST(MemoRoutingTest, VerifyStatsMatchBruteAcrossCatalog) {
         break;
       }
       const Cdag cdag(alg, k);
-      const SubComputation sub(cdag, k, 0);
-      const HitStats brute = verify_chain_routing(router, sub);
-      const HitStats memo = engine.verify_chain_routing(sub);
-      EXPECT_EQ(memo.num_paths, brute.num_paths);
-      EXPECT_EQ(memo.max_hits, brute.max_hits);
-      EXPECT_EQ(memo.bound, brute.bound);
-      EXPECT_EQ(memo.argmax, brute.argmax);
-      EXPECT_TRUE(memo.ok()) << name << " k=" << k;
-
-      const FullRoutingStats bfull = verify_full_routing_aggregated(router, sub);
-      const FullRoutingStats mfull = engine.verify_full_routing(sub);
-      EXPECT_EQ(mfull.num_paths, bfull.num_paths);
-      EXPECT_EQ(mfull.max_vertex_hits, bfull.max_vertex_hits);
-      EXPECT_EQ(mfull.argmax_vertex, bfull.argmax_vertex);
-      EXPECT_EQ(mfull.max_meta_hits, bfull.max_meta_hits);
-      EXPECT_EQ(mfull.bound, bfull.bound);
-      EXPECT_EQ(mfull.root_hit_property, bfull.root_hit_property);
-      EXPECT_TRUE(mfull.ok()) << name << " k=" << k;
-
-      // Lemma 4's multiplicity accounting: digit-level decision vs the
-      // enumerating counter.
-      EXPECT_EQ(engine.verify_chain_multiplicities(sub),
-                verify_chain_multiplicities(router, sub))
-          << name << " k=" << k;
+      expect_stats_match_brute(engine, router, nullptr,
+                               SubComputation(cdag, k, 0),
+                               name + " k=" + std::to_string(k),
+                               /*expect_full_ok=*/true);
     }
   }
 }
@@ -123,14 +171,15 @@ TEST(MemoRoutingTest, DecodeHitsBitIdenticalToBrute) {
       const Cdag cdag(alg, k);
       const SubComputation sub(cdag, k, 0);
       const std::vector<std::uint64_t> brute = count_decode_hits(decoder, sub);
-      const std::vector<std::uint64_t> memo = engine.decode_hits(sub);
-      EXPECT_EQ(memo, brute) << name << " k=" << k;
-      const HitStats bstats = verify_decode_routing(decoder, sub);
-      const HitStats mstats = engine.verify_decode_routing(sub);
-      EXPECT_EQ(mstats.num_paths, bstats.num_paths);
-      EXPECT_EQ(mstats.max_hits, bstats.max_hits);
-      EXPECT_EQ(mstats.bound, bstats.bound);
-      EXPECT_EQ(mstats.argmax, bstats.argmax);
+      const std::span<const std::uint64_t> canonical =
+          engine.canonical_decode_hit_array(k);
+      EXPECT_TRUE(std::equal(canonical.begin(), canonical.end(),
+                             brute.begin(), brute.end()))
+          << name << " k=" << k;
+      const HitStats bstats = decode_stats_from_hits(decoder, sub, brute);
+      const HitStats mstats =
+          engine.verify_decode_routing(cdag::ExplicitView(cdag), k, 0);
+      EXPECT_EQ(mstats, bstats) << name << " k=" << k;
       EXPECT_TRUE(mstats.ok()) << name << " k=" << k;
       const std::uint64_t total =
           std::accumulate(brute.begin(), brute.end(), std::uint64_t{0});
@@ -220,22 +269,70 @@ TEST(CopyTranslationTest, CopiesAreDisjoint) {
 }
 
 TEST(MemoRoutingTest, NonZeroPrefixCopiesMatchBrute) {
-  // The same canonical array serves every Fact-1 copy; spot-check the
-  // translation on interior copies against the oracle run directly on
-  // those copies.
-  const bilinear::BilinearAlgorithm alg = bilinear::strassen();
-  const ChainRouter router(alg);
-  const DecodeRouter decoder(alg);
-  const MemoRoutingEngine engine(router, decoder);
-  const Cdag cdag(alg, 3);
-  const int k = 2;
-  for (const std::uint64_t prefix : {std::uint64_t{1}, std::uint64_t{6}}) {
-    const SubComputation sub(cdag, k, prefix);
-    EXPECT_EQ(engine.chain_hits(sub).hits, count_chain_hits(router, sub).hits)
-        << "prefix=" << prefix;
-    EXPECT_EQ(engine.decode_hits(sub), count_decode_hits(decoder, sub))
-        << "prefix=" << prefix;
+  // The same canonical array serves every Fact-1 copy: renamed onto
+  // interior copies it equals the oracle run directly on them.
+  {
+    const bilinear::BilinearAlgorithm alg = bilinear::strassen();
+    const ChainRouter router(alg);
+    const DecodeRouter decoder(alg);
+    const MemoRoutingEngine engine(router, decoder);
+    const Cdag cdag(alg, 3);
+    const int k = 2;
+    for (const std::uint64_t prefix : {std::uint64_t{1}, std::uint64_t{6}}) {
+      const SubComputation sub(cdag, k, prefix);
+      EXPECT_EQ(translated(engine.canonical_chain_hit_array(k), cdag.layout(),
+                           k, prefix),
+                count_chain_hits(router, sub).hits)
+          << "prefix=" << prefix;
+      EXPECT_EQ(translated(engine.canonical_decode_hit_array(k),
+                           cdag.layout(), k, prefix),
+                count_decode_hits(decoder, sub))
+          << "prefix=" << prefix;
+    }
   }
+  // The closed-form stats on every copy, including the copy-boundary
+  // root-hit clause (r > k with a trivial last prefix digit): every
+  // catalog base at r = 2, k = 1, and the n0 = 2, 3 bases at r = 3.
+  struct Depths {
+    std::string name;
+    int r;
+    std::vector<int> ks;
+  };
+  std::vector<Depths> cases;
+  for (const std::string& name : bilinear::catalog_names()) {
+    cases.push_back({name, 2, {1}});
+  }
+  for (const char* name : {"strassen", "winograd", "laderman"}) {
+    cases.push_back({name, 3, {1, 2}});
+  }
+  int copies = 0;
+  for (const Depths& c : cases) {
+    const bilinear::BilinearAlgorithm alg = bilinear::by_name(c.name);
+    const ChainRouter router(alg);
+    std::optional<DecodeRouter> decoder;
+    std::optional<MemoRoutingEngine> engine;
+    if (bilinear::decoding_components(alg) == 1) {
+      decoder.emplace(alg);
+      engine.emplace(router, *decoder);
+    } else {
+      engine.emplace(router);
+    }
+    const Cdag cdag(alg, c.r, {.with_coefficients = false});
+    for (const int k : c.ks) {
+      for (std::uint64_t prefix = 0; prefix < cdag.layout().pow_b()(c.r - k);
+           ++prefix) {
+        expect_stats_match_brute(*engine, router,
+                                 decoder ? &*decoder : nullptr,
+                                 SubComputation(cdag, k, prefix),
+                                 c.name + " r=" + std::to_string(c.r) +
+                                     " k=" + std::to_string(k) +
+                                     " prefix=" + std::to_string(prefix),
+                                 /*expect_full_ok=*/false);
+        ++copies;
+      }
+    }
+  }
+  EXPECT_GT(copies, 1000);
 }
 
 // --- PathStore. ---
@@ -288,14 +385,14 @@ TEST(PathStoreTest, DotExportListsEveryChainVertex) {
 }
 
 TEST(RoutingPoint, RecordsRoundTripTheSpecAndEnginesAgree) {
-  for (const EngineKind engine :
-       {EngineKind::kBrute, EngineKind::kMemo, EngineKind::kImplicit}) {
+  for (const EngineKind engine : {EngineKind::kBrute, EngineKind::kMemo}) {
     const RoutingSpec spec{"strassen", 2, engine};
     const ChainPoint chain = run_chain_point(spec);
     const DecodePoint decode = run_decode_point(spec);
     EXPECT_TRUE(chain.ok());
     EXPECT_TRUE(decode.stats.ok());
-    EXPECT_EQ(chain.counts.hits.empty(), engine == EngineKind::kImplicit);
+    EXPECT_EQ(chain.counts.hits.empty(), engine == EngineKind::kMemo);
+    EXPECT_EQ(decode.hits.empty(), engine == EngineKind::kMemo);
     obs::BenchRecord chain_rec;
     fill_chain_record(chain, chain_rec);
     // The committed BENCH_routing_memo.json values, on every engine.
@@ -312,6 +409,13 @@ TEST(RoutingPoint, RecordsRoundTripTheSpecAndEnginesAgree) {
       EXPECT_EQ(back.engine, spec.engine);
     }
   }
+  // BENCH_implicit_cdag.json tags the closed-form engine "implicit".
+  obs::BenchRecord rec;
+  fill_chain_record(run_chain_point({"strassen", 1, EngineKind::kMemo}), rec);
+  rec.set("engine", "implicit");
+  obs::RecordReader in(rec);
+  EXPECT_EQ(routing_spec_from_record(in).engine, EngineKind::kMemo);
+  EXPECT_TRUE(in.ok()) << in.error();
 }
 
 TEST(RoutingPoint, SpecFromRecordRejectsBasesClaimOneExcludes) {

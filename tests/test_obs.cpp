@@ -283,7 +283,7 @@ TEST(BenchRecordTest, FileRoundTripsByteStable) {
       .set("chains", std::uint64_t{1234567890123ull})
       .set("ok", true)
       .set("seconds", 0.000123);
-  file.records.emplace_back().set("metric", "memo.copy_blocks").set("value", 0);
+  file.records.emplace_back().set("metric", "memo.canonical_cache_hits").set("value", 0);
 
   const std::string once = file.to_json();
   const obs::BenchParseResult parsed = obs::parse_bench_json(once);

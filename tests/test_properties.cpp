@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <span>
 #include <sstream>
+#include <vector>
 
 #include "pathrouting/bilinear/analysis.hpp"
 #include "pathrouting/bilinear/catalog.hpp"
@@ -243,15 +245,19 @@ TEST_P(RandomAlgorithmTest, MemoEngineMatchesBruteOnRandomTransforms) {
     const Cdag graph(alg, k, {.with_coefficients = false});
     const cdag::SubComputation sub(graph, k, 0);
 
+    const cdag::ExplicitView view(graph);
     const routing::MemoRoutingEngine chain_memo(router);
     const routing::ChainHitCounts brute = routing::count_chain_hits(router, sub);
-    const routing::ChainHitCounts memo = chain_memo.chain_hits(sub);
-    ASSERT_EQ(memo.num_chains, brute.num_chains);
-    ASSERT_EQ(memo.max_hits, brute.max_hits);
-    ASSERT_EQ(memo.argmax, brute.argmax);
-    ASSERT_EQ(memo.hits, brute.hits) << "memo chain hit array diverged";
-    EXPECT_TRUE(routing::chain_stats_from_counts(memo, sub).ok());
-    EXPECT_EQ(chain_memo.verify_chain_multiplicities(sub),
+    const std::span<const std::uint64_t> memo =
+        chain_memo.canonical_chain_hit_array(k);
+    const routing::HitStats stats = chain_memo.verify_chain_routing(view, k, 0);
+    ASSERT_EQ(stats.num_paths, brute.num_chains);
+    ASSERT_EQ(stats.max_hits, brute.max_hits);
+    ASSERT_EQ(stats.argmax, brute.argmax);
+    ASSERT_EQ(std::vector<std::uint64_t>(memo.begin(), memo.end()), brute.hits)
+        << "memo chain hit array diverged";
+    EXPECT_TRUE(stats.ok());
+    EXPECT_EQ(chain_memo.verify_chain_multiplicities(view, k, 0),
               routing::verify_chain_multiplicities(router, sub));
 
     if (bilinear::decoding_components(alg) == 1) {
@@ -259,9 +265,12 @@ TEST_P(RandomAlgorithmTest, MemoEngineMatchesBruteOnRandomTransforms) {
       const routing::MemoRoutingEngine memo_full(router, decoder);
       const std::vector<std::uint64_t> brute_hits =
           routing::count_decode_hits(decoder, sub);
-      ASSERT_EQ(memo_full.decode_hits(sub), brute_hits)
+      const std::span<const std::uint64_t> memo_hits =
+          memo_full.canonical_decode_hit_array(k);
+      ASSERT_EQ(std::vector<std::uint64_t>(memo_hits.begin(), memo_hits.end()),
+                brute_hits)
           << "memo decode hit array diverged";
-      EXPECT_TRUE(memo_full.verify_decode_routing(sub).ok());
+      EXPECT_TRUE(memo_full.verify_decode_routing(view, k, 0).ok());
     }
   }
 }

@@ -404,7 +404,7 @@ TEST(CertificateService, SecondServeHitsTheStore) {
 
 TEST(CertificateService, DeepRankSkipsTheHitDigest) {
   service::ServiceConfig config;
-  config.digest_max_vertices = 100;  // force the implicit-only path
+  config.digest_max_vertices = 100;  // force the stats-only path
   service::CertificateService svc(config);
   const service::Response resp =
       svc.serve({"strassen", 4, CertKind::kChain});
