@@ -164,7 +164,12 @@ struct EnginePoints {
     if (k <= c.kmax_brute) {
       brute = run({c.name, k, routing::EngineKind::kBrute});
     }
-    if (k <= c.kmax_memo) memo = run({c.name, k, routing::EngineKind::kMemo});
+    // Memo points are gated, so they are timed as pr_bench_gate times
+    // them: the fastest of obs::kGateTimingRepeats runs.
+    if (k <= c.kmax_memo) {
+      memo = obs::fastest_of_repeats(
+          [&] { return run({c.name, k, routing::EngineKind::kMemo}); });
+    }
   }
 };
 

@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "pathrouting/schedule/use_lists.hpp"
 #include "pathrouting/support/check.hpp"
 
 namespace pathrouting::bounds {
@@ -23,19 +24,9 @@ PartialBound partial_schedule_lower_bound(
   const std::uint64_t m = cache_size;
   PR_REQUIRE(m >= 2);
 
-  // Consumption steps of each vertex within the prefix, CSR layout
-  // (same construction as the simulator's use lists).
-  std::vector<std::uint32_t> off(static_cast<std::size_t>(n) + 1, 0);
-  for (const VertexId v : prefix) {
-    for (const VertexId p : graph.in(v)) ++off[p + 1];
-  }
-  for (VertexId v = 0; v < n; ++v) off[v + 1] += off[v];
-  std::vector<std::uint32_t> steps(off.back());
-  std::vector<std::uint32_t> cursor(off.begin(), off.end() - 1);
-  for (std::uint32_t s = 0; s < prefix.size(); ++s) {
-    for (const VertexId p : graph.in(prefix[s])) steps[cursor[p]++] = s;
-  }
-  cursor.assign(off.begin(), off.end() - 1);
+  // Consumption steps of each vertex within the prefix.
+  const schedule::UseLists uses = schedule::build_use_lists(graph, prefix);
+  std::vector<std::uint32_t> cursor(uses.off.begin(), uses.off.end() - 1);
 
   PartialBound bound;
 
@@ -50,8 +41,8 @@ PartialBound partial_schedule_lower_bound(
 
   const auto advance_next_use = [&](VertexId v, std::uint32_t s) {
     std::uint32_t& ptr = cursor[v];
-    while (ptr < off[v + 1] && steps[ptr] <= s) ++ptr;
-    return ptr < off[v + 1] ? steps[ptr] : kDead;
+    while (ptr < uses.off[v + 1] && uses.steps[ptr] <= s) ++ptr;
+    return ptr < uses.off[v + 1] ? uses.steps[ptr] : kDead;
   };
   const auto evict_one = [&](std::uint32_t stamp) {
     std::size_t best = cached.size();

@@ -20,6 +20,29 @@
 // counted vertices are decoding rank k everywhere, segments close at
 // 66M, and the vertex-level boundary satisfies |delta(S)| >= |S_bar|/22
 // (Equation 1).
+//
+// Both certifiers run the same two passes:
+//   1. ends (serial, span "certify.ends"): one walk of the schedule
+//      closes the segments and records seg_of[v], the segment that
+//      computes v. Steps after the last close, like the inputs, belong
+//      to no segment.
+//   2. boundary (span "certify.boundary"): segments are independent
+//      once seg_of is known, so each segment's boundary and
+//      boundary_vertices are computed on the support::parallel pool,
+//      written to the segment's own report slot — bit-identical at any
+//      PR_THREADS. "v computed in S_i" is the shared lookup
+//      seg_of[v] == i; the meta-closure S'_i and the distinct R / R'
+//      are kept in two per-worker bitsets over vertex ids, cleared
+//      entry by entry after each segment. A Cdag-backed view is read
+//      through its CSR arrays directly; other views through their
+//      virtuals.
+// Memory: seg_of and one more O(n) u32 array at a time (the pass-1
+// meta-vertex stamp, then the computed vertices grouped by segment),
+// the meta-vertex member lists (CSR, O(n)), the counted flags (one byte
+// per vertex), and per worker two n-bit sets plus id lists reserved
+// from the longest segment, all allocated by the calling thread before
+// the parallel region. Counters: certify.runs, certify.steps,
+// certify.segments.
 #pragma once
 
 #include <span>
@@ -79,8 +102,9 @@ struct CertifyParams {
 /// Section 6 certifier (meta-vertex boundary, input-disjoint family).
 /// The view form synthesizes every adjacency/meta query on demand, so
 /// it certifies schedules over implicit CDAGs without the O(num_edges)
-/// CSR arrays (stamp arrays stay O(num_vertices), which a schedule
-/// implies anyway); the Cdag form wraps it and is bit-identical.
+/// CSR arrays (the per-vertex arrays stay O(num_vertices), which a
+/// schedule implies anyway); the Cdag form wraps it and is
+/// bit-identical. `schedule` must list distinct vertices.
 CertifyResult certify_segments(const cdag::CdagView& view,
                                std::span<const VertexId> schedule,
                                const CertifyParams& params);
@@ -106,9 +130,11 @@ struct CertifyJob {
 };
 
 /// Certifies independent jobs concurrently (PR_THREADS). Every
-/// certification walk already owns its stamp arrays and only reads the
-/// shared CDAG, so jobs run on the pool with results written to fixed
-/// slots — results[i] is bit-identical to running jobs[i] alone.
+/// certification owns its arrays and scratch and only reads the shared
+/// CDAG, so jobs run on the pool with results written to fixed slots —
+/// results[i] is bit-identical to running jobs[i] alone. The batch
+/// nests the boundary pass: inside a job it runs inline on the job's
+/// worker.
 std::vector<CertifyResult> certify_segments_batch(
     const cdag::CdagView& view, std::span<const CertifyJob> jobs);
 std::vector<CertifyResult> certify_segments_batch(

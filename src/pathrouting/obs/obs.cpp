@@ -104,9 +104,8 @@ std::vector<CounterValue> counters_snapshot() {
                    [](const CounterValue& a, const CounterValue& b) {
                      return a.name < b.name;
                    });
-  // Several instrumentation sites may share one logical counter name
-  // (certify.runs is bumped by both segment certifiers); the snapshot
-  // presents the summed total under the single name.
+  // Several instrumentation sites may share one logical counter name;
+  // the snapshot presents the summed total under the single name.
   std::vector<CounterValue> merged;
   for (CounterValue& c : out) {
     if (!merged.empty() && merged.back().name == c.name) {

@@ -12,9 +12,9 @@
 //    uses a superstep-batched sparse accumulator: per-processor slots
 //    are epoch-stamped instead of cleared, and a touched-processor
 //    scratch list makes end_superstep() O(active processors) with zero
-//    allocation in steady state. It is bit-identical to the dense
-//    reference implementation (DenseMachine below), which iterates all
-//    P slots per superstep.
+//    allocation in steady state. Tests hold it bit-identical to a dense
+//    reference implementation that iterates all P slots per superstep
+//    (tests/support/dense_machine.hpp).
 //  * the class-aggregate path (send_class/alloc_all): CAPS, SUMMA, and
 //    2.5D schedules send identical word counts to whole processor
 //    classes, so a class of `class_size` processors with a common
@@ -149,53 +149,6 @@ class Machine {
   std::uint64_t supersteps_ = 0;
   std::uint64_t peak_memory_ = 0;
 
-  std::vector<std::uint64_t> log_sent_, log_received_, log_max_traffic_;
-};
-
-/// The dense reference machine: the pre-sparse implementation, kept
-/// verbatim as the bit-identity oracle for the scalar path (tests
-/// replay the same schedule through both and require every counter and
-/// log entry to match). It allocates all three per-processor vectors
-/// up front and scans every processor per superstep, so it is the
-/// thing the sparse machine must agree with — not the thing to run at
-/// P = 10^6.
-class DenseMachine {
- public:
-  DenseMachine(std::uint64_t num_procs, std::uint64_t local_memory);
-
-  [[nodiscard]] std::uint64_t procs() const { return sent_.size(); }
-  [[nodiscard]] std::uint64_t local_memory() const { return local_memory_; }
-
-  void send(std::uint64_t from, std::uint64_t to, std::uint64_t words);
-  void end_superstep();
-  void alloc(std::uint64_t proc, std::uint64_t words);
-  void release(std::uint64_t proc, std::uint64_t words);
-
-  [[nodiscard]] std::uint64_t bandwidth_cost() const { return bandwidth_; }
-  [[nodiscard]] std::uint64_t total_words() const { return total_words_; }
-  [[nodiscard]] std::uint64_t supersteps() const { return supersteps_; }
-  [[nodiscard]] std::uint64_t peak_memory() const { return peak_memory_; }
-  [[nodiscard]] bool within_memory() const {
-    return peak_memory_ <= local_memory_;
-  }
-
-  [[nodiscard]] std::span<const std::uint64_t> step_sent() const {
-    return log_sent_;
-  }
-  [[nodiscard]] std::span<const std::uint64_t> step_received() const {
-    return log_received_;
-  }
-  [[nodiscard]] std::span<const std::uint64_t> step_max_traffic() const {
-    return log_max_traffic_;
-  }
-
- private:
-  std::uint64_t local_memory_;
-  std::vector<std::uint64_t> sent_, received_, in_use_;
-  std::uint64_t bandwidth_ = 0;
-  std::uint64_t total_words_ = 0;
-  std::uint64_t supersteps_ = 0;
-  std::uint64_t peak_memory_ = 0;
   std::vector<std::uint64_t> log_sent_, log_received_, log_max_traffic_;
 };
 

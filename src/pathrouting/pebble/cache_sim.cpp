@@ -5,37 +5,11 @@
 
 #include "pathrouting/obs/obs.hpp"
 #include "pathrouting/pebble/policies.hpp"
+#include "pathrouting/schedule/use_lists.hpp"
 
 namespace pathrouting::pebble {
 
 namespace {
-
-/// Positions in the schedule at which each vertex is consumed as an
-/// operand, in increasing order (CSR layout).
-struct UseLists {
-  std::vector<std::uint32_t> off;
-  std::vector<std::uint32_t> steps;
-};
-
-UseLists build_use_lists(const Graph& graph,
-                         std::span<const VertexId> schedule) {
-  UseLists uses;
-  uses.off.assign(static_cast<std::size_t>(graph.num_vertices()) + 1, 0);
-  for (const VertexId v : schedule) {
-    for (const VertexId p : graph.in(v)) ++uses.off[p + 1];
-  }
-  for (VertexId v = 0; v < graph.num_vertices(); ++v) {
-    uses.off[v + 1] += uses.off[v];
-  }
-  uses.steps.resize(uses.off.back());
-  std::vector<std::uint32_t> cursor(uses.off.begin(), uses.off.end() - 1);
-  for (std::uint32_t s = 0; s < schedule.size(); ++s) {
-    for (const VertexId p : graph.in(schedule[s])) {
-      uses.steps[cursor[p]++] = s;
-    }
-  }
-  return uses;
-}
 
 /// `Order` ranks resident values by their policy key: std::greater<>
 /// over next-use steps for Belady, std::less<> over the touch clock for
@@ -46,7 +20,7 @@ PebbleResult run(const Graph& graph, std::span<const VertexId> schedule,
                  const std::function<bool(VertexId)>& is_output) {
   const std::uint64_t m = options.cache_size;
   const VertexId n = graph.num_vertices();
-  const UseLists uses = build_use_lists(graph, schedule);
+  const schedule::UseLists uses = schedule::build_use_lists(graph, schedule);
   std::vector<std::uint32_t> use_ptr(uses.off.begin(), uses.off.end() - 1);
 
   ResidentSet<Order> resident(n, m);

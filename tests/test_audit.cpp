@@ -26,6 +26,7 @@
 #include "pathrouting/schedule/validate.hpp"
 #include "pathrouting/support/debug_hooks.hpp"
 #include "pathrouting/support/parallel.hpp"
+#include "support/dense_machine.hpp"
 
 namespace {
 

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "pathrouting/bilinear/catalog.hpp"
+#include "pathrouting/bounds/segment_certifier.hpp"
 #include "pathrouting/cdag/cdag.hpp"
 #include "pathrouting/obs/bench_record.hpp"
 #include "pathrouting/obs/export.hpp"
@@ -235,6 +236,36 @@ TEST_F(ObsTest, PebbleCountersSumSimulatedTotals) {
     spans += std::string(span.name) == "pebble.simulate";
   }
   EXPECT_EQ(spans, kRuns);
+}
+
+TEST_F(ObsTest, CertifierSpansSplitEndsFromBoundary) {
+  // One certification opens one "certify.ends" span (the serial pass)
+  // and one "certify.boundary" span (the parallel pass), and counts its
+  // schedule steps and segments, at any thread count.
+  const cdag::Cdag cdag(bilinear::strassen(), 4,
+                        {.with_coefficients = false});
+  const std::vector<cdag::VertexId> order = schedule::dfs_schedule(cdag);
+  const bounds::CertifyParams params{
+      .cache_size = 1, .k = 2, .s_bar_target = 5};
+  for (const int threads : {1, 4}) {
+    const par::ThreadOverride guard(threads);
+    obs::set_enabled(true);
+    obs::reset_counters();
+    obs::clear_spans();
+    const bounds::CertifyResult cert =
+        bounds::certify_segments(cdag, order, params);
+    ASSERT_GE(cert.segments.size(), 2u);
+    EXPECT_EQ(counter_value("certify.runs"), 1u);
+    EXPECT_EQ(counter_value("certify.steps"), order.size());
+    EXPECT_EQ(counter_value("certify.segments"), cert.segments.size());
+    std::uint64_t ends = 0, boundary = 0;
+    for (const obs::SpanRecord& span : obs::spans_snapshot()) {
+      ends += std::string(span.name) == "certify.ends";
+      boundary += std::string(span.name) == "certify.boundary";
+    }
+    EXPECT_EQ(ends, 1u) << "threads " << threads;
+    EXPECT_EQ(boundary, 1u) << "threads " << threads;
+  }
 }
 
 // ---------------------------------------------------------------------

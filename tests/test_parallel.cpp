@@ -11,6 +11,7 @@
 #include "pathrouting/parallel/caps.hpp"
 #include "pathrouting/parallel/distributed_strassen.hpp"
 #include "pathrouting/parallel/summa.hpp"
+#include "support/dense_machine.hpp"
 
 namespace {
 
