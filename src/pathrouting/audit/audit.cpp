@@ -64,17 +64,10 @@ AuditReport run_all(const cdag::Cdag& cdag, const RunAllOptions& options) {
       }
       const routing::ChainRouter router(alg);
       const cdag::SubComputation sub(cdag, k, 0);
-      // The oracle's per-vertex hit counts, computed once for the
-      // congestion rules and routing.implicit-match.
-      const bool count_hits = selection.enabled(internal::kCongestion) ||
-                              selection.enabled(internal::kImplicitMatch);
-      routing::ChainHitCounts chains;
-      if (count_hits) chains = routing::count_chain_hits(router, sub);
-      report.merge(audit_chain_routing(router, sub, chains.hits, selection));
+      report.merge(audit_chain_routing(router, sub, selection));
       report.merge(audit_concat_routing(router, sub, selection));
       std::optional<routing::DecodeRouter> decoder;
       std::optional<cdag::SubComputation> dsub;
-      std::vector<std::uint64_t> decode_hits;
       if (bilinear::decoding_components(alg) == 1) {
         // The decode audit streams a^k*b^k zig-zags; same budget.
         int kd = k;
@@ -84,11 +77,7 @@ AuditReport run_all(const cdag::Cdag& cdag, const RunAllOptions& options) {
         }
         decoder.emplace(alg);
         dsub.emplace(cdag, kd, 0);
-        if (count_hits) {
-          decode_hits = routing::count_decode_hits(*decoder, *dsub);
-        }
-        report.merge(
-            audit_decode_routing(*decoder, *dsub, decode_hits, selection));
+        report.merge(audit_decode_routing(*decoder, *dsub, selection));
       }
       if (k >= 1) {
         // The closed-form engine re-derives the same certificates:
@@ -102,6 +91,9 @@ AuditReport run_all(const cdag::Cdag& cdag, const RunAllOptions& options) {
         }
         report.merge(audit_memo_routing(*engine, sub, selection));
         if (selection.enabled(internal::kImplicitMatch)) {
+          // The brute-force oracle's certificates, from its hit counts.
+          const routing::ChainHitCounts chains =
+              routing::count_chain_hits(router, sub);
           OracleRouting oracle{
               .chain = routing::chain_stats_from_counts(chains, sub),
               .multiplicities =
@@ -109,8 +101,7 @@ AuditReport run_all(const cdag::Cdag& cdag, const RunAllOptions& options) {
               .full = routing::full_routing_from_chain_counts(sub, chains)};
           if (dsub) {
             oracle.dsub = &*dsub;
-            oracle.decode =
-                routing::decode_stats_from_hits(*decoder, *dsub, decode_hits);
+            oracle.decode = routing::verify_decode_routing(*decoder, *dsub);
           }
           report.merge(audit_implicit_routing(*engine, sub, oracle, selection));
         }

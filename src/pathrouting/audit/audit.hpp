@@ -7,8 +7,8 @@
 // (support/parallel.hpp): rules or vertex ranges run as fixed chunks
 // and findings fold in chunk and registry order, so the output is
 // bit-identical at any PR_THREADS.
-// Congestion counts reuse the exactly-commutative sharded accumulation
-// the routing verifiers use.
+// Congestion counts use the shared relaxed-atomic hit arrays the
+// routing verifiers use (support::parallel::HitCounter).
 //
 // Rule suites take *views* rather than the owning objects, so tests can
 // assemble deliberately corrupted structures and assert that the right
@@ -116,13 +116,13 @@ AuditReport audit_memo_routing(
 
 /// The brute-force oracle's certificates of a copy `sub` and, for a
 /// Claim-1 base, of a decode copy `dsub`, as run_all derives them from
-/// the hit counts it also hands the congestion rules.
+/// routing::count_chain_hits and routing::verify_decode_routing.
 struct OracleRouting {
   routing::HitStats chain;         // routing::chain_stats_from_counts
   bool multiplicities = false;     // routing::verify_chain_multiplicities
   routing::FullRoutingStats full;  // routing::full_routing_from_chain_counts
   const cdag::SubComputation* dsub = nullptr;  // null: no decode check
-  routing::HitStats decode;  // routing::decode_stats_from_hits on *dsub
+  routing::HitStats decode;  // routing::verify_decode_routing on *dsub
 };
 
 /// routing.implicit-match: the engine's closed-form verifiers, run on
@@ -136,29 +136,25 @@ AuditReport audit_implicit_routing(
     const RuleSelection& selection = RuleSelection::all());
 
 /// Lemma 3: materializes every guaranteed-dependence chain of `sub` and
-/// audits edges, endpoints, length 2k+2 and the 2*a^k*n0^k chain count.
-/// routing.congestion checks `hits`, the oracle's per-vertex chain hits
-/// of `sub` (routing::count_chain_hits), against 2*n0^k; `hits` is read
-/// only when that rule is selected.
+/// audits edges, endpoints, length 2k+2, the 2*a^k*n0^k chain count and,
+/// from the same single pass, the per-vertex chain hits against the
+/// 2*n0^k congestion bound.
 AuditReport audit_chain_routing(
     const routing::ChainRouter& router, const cdag::SubComputation& sub,
-    std::span<const std::uint64_t> hits,
     const RuleSelection& selection = RuleSelection::all());
 
-/// Theorem 2: streams all 2*a^(2k) concatenated paths, auditing edges,
-/// endpoints, and the 6*a^k congestion bound (vertex and meta level).
+/// Theorem 2: streams all 2*a^(2k) concatenated paths once, auditing
+/// edges, endpoints, length 6k+4, and the 6*a^k congestion bound
+/// (vertex and meta level).
 AuditReport audit_concat_routing(
     const routing::ChainRouter& router, const cdag::SubComputation& sub,
     const RuleSelection& selection = RuleSelection::all());
 
-/// Claim 1: streams all b^k*a^k decode zig-zag paths of sub's D_k,
-/// auditing (undirected) edges and endpoints. routing.congestion checks
-/// `hits`, the oracle's per-vertex decode hits of `sub`
-/// (routing::count_decode_hits), against |D_1|*max(a,b)^k; `hits` is
-/// read only when that rule is selected.
+/// Claim 1: streams all b^k*a^k decode zig-zag paths of sub's D_k once,
+/// auditing (undirected) edges and endpoints and the per-vertex hits
+/// against the |D_1|*max(a,b)^k congestion bound.
 AuditReport audit_decode_routing(
     const routing::DecodeRouter& router, const cdag::SubComputation& sub,
-    std::span<const std::uint64_t> hits,
     const RuleSelection& selection = RuleSelection::all());
 
 /// Theorem 3: validates a Hall matching witness for `side`. Findings
@@ -298,7 +294,10 @@ AuditReport audit_machine_pair(
 /// structural suite plus, where applicable, Hall matchings (both
 /// sides), chain/concatenation routing at a small k, decode routing
 /// (when the decoding graph is connected), a disjoint family, a DFS
-/// schedule, and a segment certificate over it.
+/// schedule, and a segment certificate over it. Each routing audit
+/// enumerates its paths once; the brute-force oracle hit counts
+/// (routing::count_chain_hits / count_decode_hits) are computed only
+/// when routing.implicit-match is selected.
 struct RunAllOptions {
   RuleSelection selection = RuleSelection::all();
   /// Subcomputation order for the routing audits; -1 = min(r, 2).

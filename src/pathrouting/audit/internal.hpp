@@ -24,9 +24,8 @@ inline constexpr std::uint64_t kMaxFindingsPerRule = 16;
 /// tuning knob.
 inline constexpr std::uint64_t kScanGrain = 1 << 16;
 
-/// Rule ids run_all reads besides their suites: it counts the
-/// brute-force routing hits once for both rules.
-inline constexpr std::string_view kCongestion = "routing.congestion";
+/// Rule id run_all reads besides its suite: it computes the brute-force
+/// oracle's routing certificates only when this rule is selected.
 inline constexpr std::string_view kImplicitMatch = "routing.implicit-match";
 
 /// Per-chunk finding accumulator. Chunks collect at most the cap (plus

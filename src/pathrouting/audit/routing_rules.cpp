@@ -3,6 +3,7 @@
 // witnesses (Theorem 3), and input-disjoint subcomputation families
 // (Lemma 1).
 #include <algorithm>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -25,13 +26,13 @@ using internal::error;
 using internal::error_counts;
 using internal::Findings;
 using internal::flush;
-using internal::kCongestion;
 
 constexpr std::string_view kEdges = "routing.path-edges";
 constexpr std::string_view kEndpoints = "routing.path-endpoints";
 constexpr std::string_view kLength = "routing.path-length";
 constexpr std::string_view kDisjoint = "routing.path-disjoint";
 constexpr std::string_view kChainCount = "routing.chain-count";
+constexpr std::string_view kCongestion = "routing.congestion";
 constexpr std::string_view kMemoTotals = "routing.memo-totals";
 constexpr std::string_view kCopyBlocks = "fact1.copy-blocks";
 constexpr std::string_view kCopyBijection = "fact1.copy-bijection";
@@ -40,70 +41,145 @@ std::string pair_str(std::uint64_t u, std::uint64_t v) {
   return "(" + std::to_string(u) + " -> " + std::to_string(v) + ")";
 }
 
-/// Checks one materialized path: consecutive-vertex edges, declared
-/// terminals, and expected length. Shared by the explicit-family audit
-/// and the streaming routing audits. `label` names the path in
-/// messages ("path 3", "chain (A, 5 -> 2)", ...).
+/// What every path of a stream must satisfy besides its declared
+/// terminals: consecutive vertices joined by an edge of `graph` (in
+/// either direction when `undirected`), and the expected vertex count.
 struct PathExpectations {
-  const Graph* graph = nullptr;
+  const Graph& graph;
   bool undirected = false;
   std::uint64_t expected_length = 0;  // 0 = skip
-  VertexId source = cdag::kInvalidVertex;
-  VertexId sink = cdag::kInvalidVertex;
 };
 
+/// Findings of a path stream, per chunk and merged. `extra` collects
+/// the enumerator's own per-path rule (routing.chain-count for chains,
+/// the Theorem-2 meta accounting for concatenated paths).
+struct PathFindings {
+  Findings edges, endpoints, length, extra;
+
+  void merge(PathFindings& other) {
+    edges.merge(other.edges);
+    endpoints.merge(other.endpoints);
+    length.merge(other.length);
+    extra.merge(other.extra);
+  }
+};
+
+/// Checks one materialized path against `x` and its declared `source`
+/// and `sink` (kInvalidVertex = undeclared). `label()` names the path
+/// in messages ("path 3", "chain (A, 5 -> 2)", ...) and is called only
+/// when a finding is emitted.
+template <typename Label>
 void check_path(std::span<const VertexId> path, const PathExpectations& x,
-                const std::string& label, Findings& edges, Findings& endpoints,
-                Findings& length) {
-  const Graph& graph = *x.graph;
-  const std::uint64_t n = graph.num_vertices();
+                VertexId source, VertexId sink, const Label& label,
+                PathFindings& out) {
+  const std::uint64_t n = x.graph.num_vertices();
   if (path.empty()) {
-    endpoints.add(error(kEndpoints, label + " is empty"));
+    out.endpoints.add(error(kEndpoints, label() + " is empty"));
     return;
   }
   for (std::size_t j = 0; j + 1 < path.size(); ++j) {
     const VertexId u = path[j];
     const VertexId v = path[j + 1];
     if (u >= n || v >= n) {
-      edges.add(error(kEdges, label + ": hop " + pair_str(u, v) +
-                                  " leaves the vertex range",
-                      u < n ? u : v));
+      out.edges.add(error(kEdges, label() + ": hop " + pair_str(u, v) +
+                                      " leaves the vertex range",
+                          u < n ? u : v));
       continue;
     }
-    const bool ok = graph.has_edge(u, v) ||
-                    (x.undirected && graph.has_edge(v, u));
+    const bool ok = x.graph.has_edge(u, v) ||
+                    (x.undirected && x.graph.has_edge(v, u));
     if (!ok) {
-      edges.add(error(kEdges,
-                      label + ": hop " + pair_str(u, v) + " is not an edge" +
-                          (x.undirected ? " in either direction" : ""),
-                      u));
+      out.edges.add(error(kEdges,
+                          label() + ": hop " + pair_str(u, v) +
+                              " is not an edge" +
+                              (x.undirected ? " in either direction" : ""),
+                          u));
     }
   }
-  if (x.source != cdag::kInvalidVertex && path.front() != x.source) {
-    endpoints.add(error_counts(kEndpoints,
-                               label + " does not start at its declared "
-                                       "source",
-                               x.source, path.front(), path.front()));
+  if (source != cdag::kInvalidVertex && path.front() != source) {
+    out.endpoints.add(error_counts(kEndpoints,
+                                   label() + " does not start at its "
+                                             "declared source",
+                                   source, path.front(), path.front()));
   }
-  if (x.sink != cdag::kInvalidVertex && path.back() != x.sink) {
-    endpoints.add(error_counts(kEndpoints,
-                               label + " does not end at its declared sink",
-                               x.sink, path.back(), path.back()));
+  if (sink != cdag::kInvalidVertex && path.back() != sink) {
+    out.endpoints.add(error_counts(kEndpoints,
+                                   label() + " does not end at its declared "
+                                             "sink",
+                                   sink, path.back(), path.back()));
   }
   if (x.expected_length != 0 && path.size() != x.expected_length) {
-    length.add(error_counts(kLength, label + " has the wrong vertex count",
-                            x.expected_length, path.size(), path.front()));
+    out.length.add(error_counts(kLength,
+                                label() + " has the wrong vertex count",
+                                x.expected_length, path.size(),
+                                path.front()));
   }
 }
 
-/// Serial scan of a merged per-vertex hit array against a congestion
-/// bound; findings in vertex-id order, capped.
+/// Per-chunk buffers an enumerator may reuse across its paths.
+struct PathScratch {
+  std::vector<VertexId> path;
+  std::vector<VertexId> roots;  // meta roots already met on a path
+};
+
+/// The one path-audit loop: enumerate(i, scratch, emit, extra) produces
+/// path i of [0, num_paths) and hands it to emit(path, source, sink,
+/// label), or records a finding of its own in `extra`. Each path is
+/// checked once against `x` and, when `hits` is given, its in-range
+/// vertices are counted into that shared array (relaxed atomic adds,
+/// exactly commutative). Findings merge in the order of the fixed
+/// chunks of `grain` paths, so the capped report is the same at any
+/// PR_THREADS.
+template <typename Enumerate>
+PathFindings stream_paths(const PathExpectations& x, std::uint64_t num_paths,
+                          std::uint64_t grain, parallel::HitCounter* hits,
+                          const Enumerate& enumerate) {
+  return parallel::parallel_reduce<PathFindings>(
+      0, num_paths, grain, PathFindings{},
+      [&](std::uint64_t lo, std::uint64_t hi) {
+        PathFindings chunk;
+        PathScratch scratch;
+        const auto emit = [&](std::span<const VertexId> path, VertexId source,
+                              VertexId sink, const auto& label) {
+          check_path(path, x, source, sink, label, chunk);
+          if (hits == nullptr) return;
+          for (const VertexId v : path) {
+            if (v < hits->size()) hits->add(v);
+          }
+        };
+        for (std::uint64_t i = lo; i < hi; ++i) {
+          enumerate(i, scratch, emit, chunk.extra);
+        }
+        return chunk;
+      },
+      [](PathFindings& acc, PathFindings& chunk) { acc.merge(chunk); });
+}
+
+/// Whether any of `rules` is selected: a stream runs only if so.
+bool any_enabled(const RuleSelection& selection,
+                 std::initializer_list<std::string_view> rules) {
+  return std::any_of(rules.begin(), rules.end(), [&](std::string_view rule) {
+    return selection.enabled(rule);
+  });
+}
+
+/// Emits the per-path structural rules of a stream in registry order;
+/// routing.path-length only for streams with an expected length.
+void flush_paths(AuditReport& report, const RuleSelection& selection,
+                 PathFindings& found, bool with_length) {
+  flush(report, selection, kEdges, std::move(found.edges));
+  flush(report, selection, kEndpoints, std::move(found.endpoints));
+  if (with_length) flush(report, selection, kLength, std::move(found.length));
+}
+
+/// Appends to `out` the vertices of a merged per-vertex hit array whose
+/// count exceeds a congestion bound, in vertex-id order, capped.
 /// `map`, when given, renames the canonical-copy ids of `hits` to the
 /// global ids the findings report.
-void congestion_findings(std::span<const std::uint64_t> hits,
-                         std::uint64_t bound, const std::string& what,
-                         Findings& out,
-                         const cdag::CopyTranslation* map = nullptr) {
+Findings congestion_findings(std::span<const std::uint64_t> hits,
+                             std::uint64_t bound, const std::string& what,
+                             Findings out = {},
+                             const cdag::CopyTranslation* map = nullptr) {
   for (std::uint64_t v = 0; v < hits.size(); ++v) {
     if (hits[v] > bound) {
       const auto id = static_cast<VertexId>(v);
@@ -112,6 +188,7 @@ void congestion_findings(std::span<const std::uint64_t> hits,
                            bound, hits[v], map ? map->to_global(id) : id));
     }
   }
+  return out;
 }
 
 /// Reconciles the canonical hit array `hits` of the copy `map` renames
@@ -149,36 +226,9 @@ void reconcile_canonical(std::span<const std::uint64_t> hits,
                             max, stats.max_hits, argmax));
   }
   flush(report, selection, kMemoTotals, std::move(totals));
-  if (selection.enabled(kCongestion)) {
-    Findings findings;
-    congestion_findings(hits, bound, "memoized " + what + "-routing vertex",
-                        findings, &map);
-    flush(report, selection, kCongestion, std::move(findings));
-  }
-}
-
-/// Per-vertex hit counts of a streamed path enumeration:
-/// enumerate(index, path_out) materializes the paths of one stream
-/// index; all workers bump one shared counter array (relaxed atomic
-/// adds, exactly commutative), so the counts are thread-count
-/// independent and the working set does not grow with PR_THREADS.
-template <typename Enumerate>
-std::vector<std::uint64_t> streamed_hits(std::uint64_t num_indices,
-                                         std::uint64_t grain, std::uint64_t n,
-                                         const Enumerate& enumerate) {
-  parallel::HitCounter hits(n);
-  parallel::parallel_for(
-      0, num_indices, grain, [&](std::uint64_t lo, std::uint64_t hi) {
-        std::vector<VertexId> path;
-        for (std::uint64_t idx = lo; idx < hi; ++idx) {
-          enumerate(idx, [&](std::span<const VertexId> p) {
-            for (const VertexId v : p) {
-              if (v < n) hits.add(v);
-            }
-          }, path);
-        }
-      });
-  return hits.take();
+  flush(report, selection, kCongestion,
+        congestion_findings(hits, bound, "memoized " + what + "-routing vertex",
+                            {}, &map));
 }
 
 }  // namespace
@@ -197,51 +247,28 @@ AuditReport audit_path_family(const Graph& graph, const PathFamily& family,
   const std::uint64_t n = graph.num_vertices();
   AuditReport report;
 
-  // Structural per-path checks, folded in chunk order.
-  struct Chunk {
-    Findings edges, endpoints, length;
-  };
-  Chunk structural = parallel::parallel_reduce<Chunk>(
-      0, num_paths, /*grain=*/64, Chunk{},
-      [&](std::uint64_t lo, std::uint64_t hi) {
-        Chunk chunk;
-        for (std::uint64_t i = lo; i < hi; ++i) {
-          const std::span<const VertexId> path = family.vertices.subspan(
-              family.offsets[i], family.offsets[i + 1] - family.offsets[i]);
-          PathExpectations x;
-          x.graph = &graph;
-          x.undirected = family.undirected;
-          x.expected_length = family.expected_length;
-          if (family.sources.size() == num_paths) x.source = family.sources[i];
-          if (family.sinks.size() == num_paths) x.sink = family.sinks[i];
-          check_path(path, x, "path " + std::to_string(i), chunk.edges,
-                     chunk.endpoints, chunk.length);
-        }
-        return chunk;
-      },
-      [](Chunk& acc, Chunk& chunk) {
-        acc.edges.merge(chunk.edges);
-        acc.endpoints.merge(chunk.endpoints);
-        acc.length.merge(chunk.length);
+  const bool congestion =
+      family.congestion_bound != 0 && selection.enabled(kCongestion);
+  parallel::HitCounter hits(congestion ? n : 0);
+  PathFindings found = stream_paths(
+      {.graph = graph,
+       .undirected = family.undirected,
+       .expected_length = family.expected_length},
+      num_paths,
+      /*grain=*/64, congestion ? &hits : nullptr,
+      [&](std::uint64_t i, PathScratch&, const auto& emit, Findings&) {
+        emit(family.vertices.subspan(family.offsets[i],
+                                     family.offsets[i + 1] - family.offsets[i]),
+             family.sources.size() == num_paths ? family.sources[i]
+                                                : cdag::kInvalidVertex,
+             family.sinks.size() == num_paths ? family.sinks[i]
+                                              : cdag::kInvalidVertex,
+             [i] { return "path " + std::to_string(i); });
       });
-  flush(report, selection, kEdges, std::move(structural.edges));
-  flush(report, selection, kEndpoints, std::move(structural.endpoints));
-  if (family.expected_length != 0) {
-    flush(report, selection, kLength, std::move(structural.length));
-  }
-
-  if (family.congestion_bound != 0 && selection.enabled(kCongestion)) {
-    const std::uint64_t avg_len =
-        num_paths == 0 ? 1 : family.vertices.size() / num_paths + 1;
-    const std::vector<std::uint64_t> hits = streamed_hits(
-        num_paths, parallel::work_grain(num_paths, avg_len), n,
-        [&](std::uint64_t i, const auto& sink, std::vector<VertexId>&) {
-          sink(family.vertices.subspan(
-              family.offsets[i], family.offsets[i + 1] - family.offsets[i]));
-        });
-    Findings findings;
-    congestion_findings(hits, family.congestion_bound, "vertex", findings);
-    flush(report, selection, kCongestion, std::move(findings));
+  flush_paths(report, selection, found, family.expected_length != 0);
+  if (congestion) {
+    flush(report, selection, kCongestion,
+          congestion_findings(hits.take(), family.congestion_bound, "vertex"));
   }
 
   if (family.vertex_disjoint && selection.enabled(kDisjoint)) {
@@ -437,89 +464,61 @@ AuditReport audit_memo_routing(const routing::MemoRoutingEngine& engine,
 
 AuditReport audit_chain_routing(const routing::ChainRouter& router,
                                 const SubComputation& sub,
-                                std::span<const std::uint64_t> hits,
                                 const RuleSelection& selection) {
   const cdag::Cdag& owner = sub.cdag();
   const Layout& layout = owner.layout();
-  const Graph& graph = owner.graph();
   const int k = sub.k();
   const std::uint64_t num_in = sub.inputs_per_side();
   const std::uint64_t fanout = routing::guaranteed_fanout(layout, k);  // n0^k
-  const auto expected_length = static_cast<std::uint64_t>(2 * k + 2);
-  const std::uint64_t bound = 2 * fanout;  // Lemma 3
   AuditReport report;
-
-  const bool structural =
-      selection.enabled(kEdges) || selection.enabled(kEndpoints) ||
-      selection.enabled(kLength) || selection.enabled(kChainCount);
-  if (structural) {
-    struct Chunk {
-      Findings edges, endpoints, length, count;
-    };
-    Chunk chunked = parallel::parallel_reduce<Chunk>(
-        0, 2 * num_in, /*grain=*/8, Chunk{},
-        [&](std::uint64_t lo, std::uint64_t hi) {
-          Chunk chunk;
-          std::vector<VertexId> chain;
-          for (std::uint64_t idx = lo; idx < hi; ++idx) {
-            const Side side = idx < num_in ? Side::A : Side::B;
-            const std::uint64_t vpos = idx < num_in ? idx : idx - num_in;
-            for (std::uint64_t free = 0; free < fanout; ++free) {
-              const std::uint64_t wpos =
-                  routing::guaranteed_output(layout, k, side, vpos, free);
-              if (!routing::is_guaranteed_dep(layout, k, side, vpos, wpos)) {
-                chunk.count.add(error(
-                    kChainCount,
-                    "enumerated pair (side " +
-                        std::string(side == Side::A ? "A" : "B") + ", " +
-                        std::to_string(vpos) + " -> " + std::to_string(wpos) +
-                        ") is not a guaranteed dependence",
-                    sub.input(side, vpos)));
-                continue;
-              }
-              chain.clear();
-              router.append_chain(sub, side, vpos, wpos, chain);
-              PathExpectations x;
-              x.graph = &graph;
-              x.expected_length = expected_length;
-              x.source = sub.input(side, vpos);
-              x.sink = sub.output(wpos);
-              check_path(chain, x,
-                         "chain (" + std::string(side == Side::A ? "A" : "B") +
-                             ", " + std::to_string(vpos) + " -> " +
-                             std::to_string(wpos) + ")",
-                         chunk.edges, chunk.endpoints, chunk.length);
-            }
-          }
-          return chunk;
-        },
-        [](Chunk& acc, Chunk& chunk) {
-          acc.edges.merge(chunk.edges);
-          acc.endpoints.merge(chunk.endpoints);
-          acc.length.merge(chunk.length);
-          acc.count.merge(chunk.count);
-        });
-    flush(report, selection, kEdges, std::move(chunked.edges));
-    flush(report, selection, kEndpoints, std::move(chunked.endpoints));
-    flush(report, selection, kLength, std::move(chunked.length));
-    // Lemma 3 routes one chain per guaranteed dependence: 2 a^k n0^k.
-    Findings count = std::move(chunked.count);
-    const std::uint64_t num_chains = 2 * num_in * fanout;
-    const std::uint64_t expected_chains = 2 * layout.pow_a()(k) * fanout;
-    if (num_chains != expected_chains) {
-      count.add(error_counts(kChainCount,
-                             "chain enumeration does not cover all "
-                             "guaranteed dependencies",
-                             expected_chains, num_chains));
-    }
-    flush(report, selection, kChainCount, std::move(count));
+  if (!any_enabled(selection,
+                   {kEdges, kEndpoints, kLength, kChainCount, kCongestion})) {
+    return report;
   }
 
-  if (selection.enabled(kCongestion)) {
-    Findings findings;
-    congestion_findings(hits, bound, "chain-routing vertex", findings);
-    flush(report, selection, kCongestion, std::move(findings));
+  const bool congestion = selection.enabled(kCongestion);
+  parallel::HitCounter hits(congestion ? owner.graph().num_vertices() : 0);
+  const std::uint64_t num_chains = 2 * num_in * fanout;
+  PathFindings found = stream_paths(
+      {.graph = owner.graph(),
+       .expected_length = static_cast<std::uint64_t>(2 * k + 2)},
+      num_chains, /*grain=*/256, congestion ? &hits : nullptr,
+      [&](std::uint64_t i, PathScratch& scratch, const auto& emit,
+          Findings& count) {
+        const std::uint64_t idx = i / fanout;
+        const Side side = idx < num_in ? Side::A : Side::B;
+        const std::uint64_t vpos = idx < num_in ? idx : idx - num_in;
+        const std::uint64_t wpos =
+            routing::guaranteed_output(layout, k, side, vpos, i % fanout);
+        const auto pair = [&] {
+          return std::string(side == Side::A ? "A" : "B") + ", " +
+                 std::to_string(vpos) + " -> " + std::to_string(wpos);
+        };
+        if (!routing::is_guaranteed_dep(layout, k, side, vpos, wpos)) {
+          count.add(error(kChainCount,
+                          "enumerated pair (side " + pair() +
+                              ") is not a guaranteed dependence",
+                          sub.input(side, vpos)));
+          return;
+        }
+        scratch.path.clear();
+        router.append_chain(sub, side, vpos, wpos, scratch.path);
+        emit(scratch.path, sub.input(side, vpos), sub.output(wpos),
+             [&] { return "chain (" + pair() + ")"; });
+      });
+  flush_paths(report, selection, found, /*with_length=*/true);
+  // Lemma 3 routes one chain per guaranteed dependence: 2 a^k n0^k.
+  const std::uint64_t expected_chains = 2 * layout.pow_a()(k) * fanout;
+  if (num_chains != expected_chains) {
+    found.extra.add(error_counts(kChainCount,
+                                 "chain enumeration does not cover all "
+                                 "guaranteed dependencies",
+                                 expected_chains, num_chains));
   }
+  flush(report, selection, kChainCount, std::move(found.extra));
+  flush(report, selection, kCongestion,
+        congestion_findings(hits.take(), 2 * fanout,  // Lemma 3
+                            "chain-routing vertex"));
   return report;
 }
 
@@ -528,12 +527,10 @@ AuditReport audit_concat_routing(const routing::ChainRouter& router,
                                  const RuleSelection& selection) {
   const cdag::Cdag& owner = sub.cdag();
   const Layout& layout = owner.layout();
-  const Graph& graph = owner.graph();
-  const std::uint64_t n = graph.num_vertices();
+  const std::uint64_t n = owner.graph().num_vertices();
   const int k = sub.k();
   const std::uint64_t num_in = sub.inputs_per_side();
   const std::uint64_t bound = 6 * layout.pow_a()(k);  // Theorem 2
-  const auto expected_length = static_cast<std::uint64_t>(6 * k + 4);
   // Theorem 2's meta accounting is per subcomputation: restricted to
   // G_k^i, a meta-vertex is the upward subtree hanging off its unique
   // member at the sub's input rank (the copy-parent chain of any deeper
@@ -549,176 +546,105 @@ AuditReport audit_concat_routing(const routing::ChainRouter& router,
     return v;
   };
   AuditReport report;
-
-  const auto for_pair_paths = [&](std::uint64_t idx, const auto& body) {
-    const Side in_side = idx < num_in ? Side::A : Side::B;
-    const std::uint64_t vpos = idx < num_in ? idx : idx - num_in;
-    std::vector<VertexId> path;
-    for (std::uint64_t wpos = 0; wpos < num_in; ++wpos) {
-      path.clear();
-      routing::append_full_path(router, sub, in_side, vpos, wpos, path);
-      body(in_side, vpos, wpos, std::span<const VertexId>(path));
-    }
-  };
-
-  const bool structural = selection.enabled(kEdges) ||
-                          selection.enabled(kEndpoints) ||
-                          selection.enabled(kLength) ||
-                          selection.enabled(kCongestion);
-  if (structural) {
-    struct Chunk {
-      Findings edges, endpoints, length, roots;
-    };
-    Chunk chunked = parallel::parallel_reduce<Chunk>(
-        0, 2 * num_in, /*grain=*/4, Chunk{},
-        [&](std::uint64_t lo, std::uint64_t hi) {
-          Chunk chunk;
-          for (std::uint64_t idx = lo; idx < hi; ++idx) {
-            for_pair_paths(idx, [&](Side in_side, std::uint64_t vpos,
-                                    std::uint64_t wpos,
-                                    std::span<const VertexId> path) {
-              const std::string label =
-                  "full path (" + std::string(in_side == Side::A ? "A" : "B") +
-                  ", " + std::to_string(vpos) + " -> " + std::to_string(wpos) +
-                  ")";
-              PathExpectations x;
-              x.graph = &graph;
-              x.undirected = true;  // middle chain traversed in reverse
-              x.expected_length = expected_length;
-              x.source = sub.input(in_side, vpos);
-              x.sink = sub.output(wpos);
-              check_path(path, x, label, chunk.edges, chunk.endpoints,
-                         chunk.length);
-              // Theorem 2 extends the bound to meta-vertices because a
-              // path hitting a copy also passes its copy parent (the
-              // only way in or out below rank r): hitting any member of
-              // a sub-local meta subtree implies hitting its root.
-              for (const VertexId v : path) {
-                if (v >= n) continue;
-                const VertexId parent = owner.copy_parent(v);
-                if (parent == cdag::kInvalidVertex ||
-                    layout.level(v) <= boundary_level) {
-                  continue;
-                }
-                if (std::find(path.begin(), path.end(), parent) ==
-                    path.end()) {
-                  chunk.roots.add(
-                      error(kCongestion,
-                            label + " passes a copy vertex without its copy "
-                                    "parent (Theorem 2 meta accounting)",
-                            v));
-                }
-              }
-            });
-          }
-          return chunk;
-        },
-        [](Chunk& acc, Chunk& chunk) {
-          acc.edges.merge(chunk.edges);
-          acc.endpoints.merge(chunk.endpoints);
-          acc.length.merge(chunk.length);
-          acc.roots.merge(chunk.roots);
-        });
-    flush(report, selection, kEdges, std::move(chunked.edges));
-    flush(report, selection, kEndpoints, std::move(chunked.endpoints));
-    flush(report, selection, kLength, std::move(chunked.length));
-
-    if (selection.enabled(kCongestion)) {
-      // Vertex-level hits, plus per-path-deduplicated meta-vertex hits;
-      // both in shared counter arrays (relaxed atomic adds).
-      parallel::HitCounter vertex_hits(n);
-      parallel::HitCounter meta_hits(n);
-      const std::uint64_t grain = parallel::work_grain(
-          2 * num_in,
-          /*per_item_cost=*/num_in * static_cast<std::uint64_t>(6 * k + 4));
-      parallel::parallel_for(
-          0, 2 * num_in, grain, [&](std::uint64_t lo, std::uint64_t hi) {
-            std::vector<VertexId> roots_on_path;
-            for (std::uint64_t idx = lo; idx < hi; ++idx) {
-              for_pair_paths(idx, [&](Side, std::uint64_t, std::uint64_t,
-                                      std::span<const VertexId> path) {
-                roots_on_path.clear();
-                for (const VertexId v : path) {
-                  if (v >= n) continue;
-                  vertex_hits.add(v);
-                  const VertexId root = local_root(v);
-                  if (std::find(roots_on_path.begin(), roots_on_path.end(),
-                                root) == roots_on_path.end()) {
-                    roots_on_path.push_back(root);
-                    meta_hits.add(root);
-                  }
-                }
-              });
-            }
-          });
-      Findings findings = std::move(chunked.roots);
-      congestion_findings(vertex_hits.take(), bound, "full-routing vertex",
-                          findings);
-      congestion_findings(meta_hits.take(), bound, "full-routing meta-vertex",
-                          findings);
-      flush(report, selection, kCongestion, std::move(findings));
-    }
+  if (!any_enabled(selection, {kEdges, kEndpoints, kLength, kCongestion})) {
+    return report;
   }
+
+  // Vertex-level hits through the stream, plus per-path-deduplicated
+  // meta-vertex hits; both shared counter arrays.
+  const bool congestion = selection.enabled(kCongestion);
+  parallel::HitCounter vertex_hits(congestion ? n : 0);
+  parallel::HitCounter meta_hits(congestion ? n : 0);
+  PathFindings found = stream_paths(
+      {.graph = owner.graph(),
+       .undirected = true,  // middle chain traversed in reverse
+       .expected_length = static_cast<std::uint64_t>(6 * k + 4)},
+      2 * num_in * num_in, /*grain=*/256, congestion ? &vertex_hits : nullptr,
+      [&](std::uint64_t i, PathScratch& scratch, const auto& emit,
+          Findings& roots) {
+        const std::uint64_t idx = i / num_in;
+        const Side side = idx < num_in ? Side::A : Side::B;
+        const std::uint64_t vpos = idx < num_in ? idx : idx - num_in;
+        const std::uint64_t wpos = i % num_in;
+        const auto label = [&] {
+          return "full path (" + std::string(side == Side::A ? "A" : "B") +
+                 ", " + std::to_string(vpos) + " -> " + std::to_string(wpos) +
+                 ")";
+        };
+        std::vector<VertexId>& path = scratch.path;
+        path.clear();
+        routing::append_full_path(router, sub, side, vpos, wpos, path);
+        emit(path, sub.input(side, vpos), sub.output(wpos), label);
+        if (!congestion) return;
+        // Theorem 2 extends the bound to meta-vertices because a path
+        // hitting a copy also passes its copy parent (the only way in or
+        // out below rank r): hitting any member of a sub-local meta
+        // subtree implies hitting its root.
+        scratch.roots.clear();
+        for (const VertexId v : path) {
+          if (v >= n) continue;
+          const VertexId parent = owner.copy_parent(v);
+          if (parent != cdag::kInvalidVertex &&
+              layout.level(v) > boundary_level &&
+              std::find(path.begin(), path.end(), parent) == path.end()) {
+            roots.add(error(kCongestion,
+                            label() + " passes a copy vertex without its "
+                                      "copy parent (Theorem 2 meta "
+                                      "accounting)",
+                            v));
+          }
+          const VertexId root = local_root(v);
+          if (std::find(scratch.roots.begin(), scratch.roots.end(), root) ==
+              scratch.roots.end()) {
+            scratch.roots.push_back(root);
+            meta_hits.add(root);
+          }
+        }
+      });
+  flush_paths(report, selection, found, /*with_length=*/true);
+  Findings findings = congestion_findings(
+      vertex_hits.take(), bound, "full-routing vertex", std::move(found.extra));
+  flush(report, selection, kCongestion,
+        congestion_findings(meta_hits.take(), bound, "full-routing meta-vertex",
+                            std::move(findings)));
   return report;
 }
 
 AuditReport audit_decode_routing(const routing::DecodeRouter& router,
                                  const SubComputation& sub,
-                                 std::span<const std::uint64_t> hits,
                                  const RuleSelection& selection) {
-  const cdag::Cdag& owner = sub.cdag();
-  const Layout& layout = owner.layout();
-  const Graph& graph = owner.graph();
+  const Layout& layout = sub.cdag().layout();
+  const Graph& graph = sub.cdag().graph();
   const int k = sub.k();
-  const std::uint64_t num_q = sub.num_products();
   const std::uint64_t num_e = sub.inputs_per_side();
-  const std::uint64_t bound =
-      static_cast<std::uint64_t>(router.d1_size()) *
-      std::max(layout.pow_a()(k), layout.pow_b()(k));  // Claim 1
   AuditReport report;
+  if (!any_enabled(selection, {kEdges, kEndpoints, kCongestion})) {
+    return report;
+  }
 
-  const bool structural =
-      selection.enabled(kEdges) || selection.enabled(kEndpoints);
-  if (structural) {
-    struct Chunk {
-      Findings edges, endpoints, length;
-    };
-    Chunk chunked = parallel::parallel_reduce<Chunk>(
-        0, num_q, /*grain=*/8, Chunk{},
-        [&](std::uint64_t lo, std::uint64_t hi) {
-          Chunk chunk;
-          std::vector<VertexId> path;
-          for (std::uint64_t q = lo; q < hi; ++q) {
-            for (std::uint64_t e = 0; e < num_e; ++e) {
-              path.clear();
-              router.append_path(sub, q, e, path);
-              PathExpectations x;
-              x.graph = &graph;
-              x.undirected = true;  // Claim 1 routes in the undirected D_k
-              x.source = sub.dec(0, q, 0);
-              x.sink = sub.output(e);
-              check_path(path, x,
-                         "decode path (" + std::to_string(q) + " -> " +
-                             std::to_string(e) + ")",
-                         chunk.edges, chunk.endpoints, chunk.length);
-            }
-          }
-          return chunk;
-        },
-        [](Chunk& acc, Chunk& chunk) {
-          acc.edges.merge(chunk.edges);
-          acc.endpoints.merge(chunk.endpoints);
-          acc.length.merge(chunk.length);
+  const bool congestion = selection.enabled(kCongestion);
+  parallel::HitCounter hits(congestion ? graph.num_vertices() : 0);
+  PathFindings found = stream_paths(
+      {.graph = graph,
+       .undirected = true},  // Claim 1 routes in the undirected D_k
+      sub.num_products() * num_e, /*grain=*/256, congestion ? &hits : nullptr,
+      [&](std::uint64_t i, PathScratch& scratch, const auto& emit, Findings&) {
+        const std::uint64_t q = i / num_e;
+        const std::uint64_t e = i % num_e;
+        scratch.path.clear();
+        router.append_path(sub, q, e, scratch.path);
+        emit(scratch.path, sub.dec(0, q, 0), sub.output(e), [&] {
+          return "decode path (" + std::to_string(q) + " -> " +
+                 std::to_string(e) + ")";
         });
-    flush(report, selection, kEdges, std::move(chunked.edges));
-    flush(report, selection, kEndpoints, std::move(chunked.endpoints));
-  }
-
-  if (selection.enabled(kCongestion)) {
-    Findings findings;
-    congestion_findings(hits, bound, "decode-routing vertex", findings);
-    flush(report, selection, kCongestion, std::move(findings));
-  }
+      });
+  flush_paths(report, selection, found, /*with_length=*/false);
+  flush(report, selection, kCongestion,
+        congestion_findings(hits.take(),
+                            static_cast<std::uint64_t>(router.d1_size()) *
+                                std::max(layout.pow_a()(k),
+                                         layout.pow_b()(k)),  // Claim 1
+                            "decode-routing vertex"));
   return report;
 }
 

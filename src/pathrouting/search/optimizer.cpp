@@ -120,8 +120,6 @@ const char* proof_name(Proof proof) {
   switch (proof) {
     case Proof::kBoundMet:
       return "bound-met";
-    case Proof::kExhausted:
-      return "exhausted";
     case Proof::kNone:
       break;
   }
@@ -152,9 +150,6 @@ SearchResult branch_and_bound(const Graph& graph,
   if (result.best_io == result.lower_bound) {
     result.certified = true;
     result.proof = Proof::kBoundMet;
-  } else if (!result.budget_exhausted && result.best_io != kInfinity) {
-    result.certified = true;
-    result.proof = Proof::kExhausted;
   }
   return result;
 }

@@ -79,9 +79,8 @@ void fill_search_record(const SweepPoint& point, obs::BenchRecord& rec);
 SweepSpec search_spec_from_record(obs::RecordReader& in);
 
 /// The sweep's certified-optimal count: the schedule_search records
-/// among `records` whose "certified" is true. Both proofs count —
-/// meeting the root lower bound and exhausting the search space each
-/// certify the witness optimal.
+/// among `records` whose "certified" is true, i.e. whose witness met
+/// the root lower bound (the only proof the search issues).
 std::uint64_t certified_count(std::span<const obs::BenchRecord> records);
 
 /// The sweep roll-up (experiment "schedule_search_summary"): the number

@@ -272,11 +272,9 @@ Response CertificateService::finish(const StoreKey& key, Certificate cert,
   return resp;
 }
 
-Response CertificateService::serve(const Request& request) {
+CertificateService::Admission CertificateService::resolve(
+    const Request& request) {
   static obs::Counter obs_requests("service.requests");
-  static obs::Counter obs_hits("service.store_hits");
-  static obs::Counter obs_computed("service.computed");
-  static obs::Counter obs_waits("service.inflight_waits");
   static obs::Counter obs_errors("service.errors");
   obs_requests.add();
   {
@@ -284,93 +282,101 @@ Response CertificateService::serve(const Request& request) {
     ++metrics_.requests;
   }
 
+  Admission admission;
   std::string error;
-  const std::shared_ptr<const EngineArena> arena =
-      arena_for(request.algorithm, &error);
-  if (arena == nullptr) {
-    obs_errors.add();
-    std::lock_guard<std::mutex> lock(metrics_mutex_);
-    ++metrics_.errors;
-    Response resp;
-    resp.error = std::move(error);
-    return resp;
-  }
-  error = validate(*arena, request);
+  admission.arena = arena_for(request.algorithm, &error);
+  if (admission.arena != nullptr) error = validate(*admission.arena, request);
   if (!error.empty()) {
     obs_errors.add();
     std::lock_guard<std::mutex> lock(metrics_mutex_);
     ++metrics_.errors;
-    Response resp;
-    resp.error = std::move(error);
-    return resp;
+    admission.arena = nullptr;
+    admission.response.error = std::move(error);
+    return admission;
   }
+  admission.key = StoreKey{admission.arena->digest,
+                           static_cast<std::uint32_t>(request.k),
+                           request.kind, kEngineVersion};
+  return admission;
+}
 
-  const StoreKey key{arena->digest, static_cast<std::uint32_t>(request.k),
-                     request.kind, kEngineVersion};
-  if (std::optional<Certificate> hit = store_.lookup(key)) {
+void CertificateService::admit(const Request& request, Admission& admission) {
+  static obs::Counter obs_hits("service.store_hits");
+  static obs::Counter obs_waits("service.inflight_waits");
+  const StoreKey& key = admission.key;
+  const auto answer_hit = [&](Certificate cert) {
     obs_hits.add();
     {
       std::lock_guard<std::mutex> lock(metrics_mutex_);
       ++metrics_.store_hits;
     }
-    Response resp = finish(key, std::move(*hit), true);
-    arena->annotate(request, resp);
-    return resp;
+    admission.response = finish(key, std::move(cert), true);
+    admission.arena->annotate(request, admission.response);
+  };
+  if (std::optional<Certificate> hit = store_.lookup(key)) {
+    answer_hit(std::move(*hit));
+    return;
   }
 
-  // Admission: the first requester of a missing key computes; everyone
-  // else parks on its future.
-  std::shared_ptr<Inflight> owned;
-  {
-    std::unique_lock<std::mutex> lock(inflight_mutex_);
-    const auto it = inflight_.find(key);
-    if (it != inflight_.end()) {
-      const std::shared_ptr<Inflight> other = it->second;
-      lock.unlock();
-      obs_waits.add();
-      {
-        std::lock_guard<std::mutex> mlock(metrics_mutex_);
-        ++metrics_.inflight_waits;
-      }
-      return other->future.get();
-    }
-    // The owner inserts into the store before it leaves inflight_, so
-    // a key absent from both under this lock is truly missing; without
-    // the re-check a key finished since the lookup above is recomputed.
-    if (std::optional<Certificate> hit = store_.find_indexed(key)) {
-      lock.unlock();
-      obs_hits.add();
-      {
-        std::lock_guard<std::mutex> mlock(metrics_mutex_);
-        ++metrics_.store_hits;
-      }
-      Response resp = finish(key, std::move(*hit), true);
-      arena->annotate(request, resp);
-      return resp;
-    }
-    owned = std::make_shared<Inflight>();
-    inflight_.emplace(key, owned);
+  // The first requester of a missing key computes; everyone else
+  // parks on its future.
+  std::unique_lock<std::mutex> lock(inflight_mutex_);
+  const auto it = inflight_.find(key);
+  if (it != inflight_.end()) {
+    admission.other = it->second;
+    lock.unlock();
+    obs_waits.add();
     std::lock_guard<std::mutex> mlock(metrics_mutex_);
-    metrics_.inflight_peak =
-        std::max(metrics_.inflight_peak,
-                 static_cast<std::uint64_t>(inflight_.size()));
+    ++metrics_.inflight_waits;
+    return;
   }
+  // The owner inserts into the store before it leaves inflight_, so
+  // a key absent from both under this lock is truly missing; without
+  // the re-check a key finished since the lookup above is recomputed.
+  if (std::optional<Certificate> hit = store_.find_indexed(key)) {
+    lock.unlock();
+    answer_hit(std::move(*hit));
+    return;
+  }
+  admission.owned = std::make_shared<Inflight>();
+  inflight_.emplace(key, admission.owned);
+  std::lock_guard<std::mutex> mlock(metrics_mutex_);
+  metrics_.inflight_peak =
+      std::max(metrics_.inflight_peak,
+               static_cast<std::uint64_t>(inflight_.size()));
+}
 
-  Certificate cert = compute(*arena, request);
-  store_.insert(key, cert);
+Response CertificateService::publish(const Request& request,
+                                     const Admission& admission) {
+  static obs::Counter obs_computed("service.computed");
+  Certificate cert = compute(*admission.arena, request);
+  store_.insert(admission.key, cert);
   obs_computed.add();
   {
     std::lock_guard<std::mutex> lock(metrics_mutex_);
     ++metrics_.computed;
   }
-  Response resp = finish(key, std::move(cert), false);
-  arena->annotate(request, resp);
-  owned->promise.set_value(resp);
+  Response resp = finish(admission.key, std::move(cert), false);
+  admission.arena->annotate(request, resp);
+  admission.owned->promise.set_value(resp);
   {
     std::lock_guard<std::mutex> lock(inflight_mutex_);
-    inflight_.erase(key);
+    inflight_.erase(admission.key);
   }
   return resp;
+}
+
+Response CertificateService::settle(const Request& request,
+                                    Admission& admission) {
+  if (admission.owned != nullptr) return publish(request, admission);
+  if (admission.other != nullptr) return admission.other->future.get();
+  return std::move(admission.response);
+}
+
+Response CertificateService::serve(const Request& request) {
+  Admission admission = resolve(request);
+  if (admission.arena != nullptr) admit(request, admission);
+  return settle(request, admission);
 }
 
 std::vector<Response> CertificateService::serve_batch(
@@ -385,72 +391,43 @@ std::vector<Response> CertificateService::serve_batch(
     metrics_.batched_requests += requests.size();
   }
 
-  struct Slot {
-    std::shared_ptr<const EngineArena> arena;
-    StoreKey key;
-    std::string error;
-  };
-  std::vector<Slot> slots(requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    Slot& slot = slots[i];
-    slot.arena = arena_for(requests[i].algorithm, &slot.error);
-    if (slot.arena == nullptr) continue;
-    slot.error = validate(*slot.arena, requests[i]);
-    if (!slot.error.empty()) continue;
-    slot.key = StoreKey{slot.arena->digest,
-                        static_cast<std::uint32_t>(requests[i].k),
-                        requests[i].kind, kEngineVersion};
-  }
-
-  // Distinct missing keys, in first-occurrence order (deterministic).
+  // Admission runs serially on the calling thread, first occurrence of
+  // each key only, in request order (deterministic).
+  std::vector<Admission> admissions(requests.size());
   std::map<StoreKey, std::size_t> first_index;
-  std::vector<std::size_t> miss_reps;
+  std::vector<std::size_t> owned;
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    if (slots[i].arena == nullptr || !slots[i].error.empty()) continue;
-    if (!first_index.emplace(slots[i].key, i).second) continue;
-    if (!store_.lookup(slots[i].key).has_value()) miss_reps.push_back(i);
+    Admission& admission = admissions[i];
+    admission = resolve(requests[i]);
+    if (admission.arena == nullptr) continue;
+    if (!first_index.emplace(admission.key, i).second) continue;
+    admit(requests[i], admission);
+    if (admission.owned != nullptr) owned.push_back(i);
   }
 
-  // Compute the misses as fixed unit chunks on the deterministic pool;
-  // each writes its own slot, so results are bit-identical to serial.
-  std::vector<Certificate> computed(miss_reps.size());
+  // Only the keys this batch owns are computed on the pool, as fixed
+  // unit chunks that each write their own slot. No chunk waits on
+  // another caller's future: that caller may itself be queued for the
+  // pool this region holds.
+  std::vector<Response> responses(requests.size());
   support::parallel::for_chunks(
-      0, miss_reps.size(), 1,
-      [&](std::uint64_t lo, std::uint64_t hi, int) {
+      0, owned.size(), 1, [&](std::uint64_t lo, std::uint64_t hi, int) {
         for (std::uint64_t j = lo; j < hi; ++j) {
-          const std::size_t i = miss_reps[j];
-          computed[j] = compute(*slots[i].arena, requests[i]);
+          const std::size_t i = owned[j];
+          responses[i] = publish(requests[i], admissions[i]);
         }
       });
-  for (std::size_t j = 0; j < miss_reps.size(); ++j) {
-    store_.insert(slots[miss_reps[j]].key, computed[j]);
-  }
-  {
-    std::lock_guard<std::mutex> lock(metrics_mutex_);
-    metrics_.requests += requests.size();
-    metrics_.computed += miss_reps.size();
-  }
 
-  std::vector<Response> responses(requests.size());
+  // Foreign futures are awaited after the region. A later duplicate
+  // is admitted once its first occurrence has settled, so it is the
+  // store hit it would be serially.
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    if (slots[i].arena == nullptr || !slots[i].error.empty()) {
-      std::lock_guard<std::mutex> lock(metrics_mutex_);
-      ++metrics_.errors;
-      responses[i].error = slots[i].error;
-      continue;
+    Admission& admission = admissions[i];
+    if (admission.owned != nullptr) continue;
+    if (admission.arena != nullptr && first_index.at(admission.key) != i) {
+      admit(requests[i], admission);
     }
-    std::optional<Certificate> cert = store_.lookup(slots[i].key);
-    PR_ASSERT(cert.has_value());
-    // Mirrors serial replay: the first requester of a computed key
-    // reports a miss, every other request of the batch a hit.
-    const bool computed_here =
-        std::find(miss_reps.begin(), miss_reps.end(), i) != miss_reps.end();
-    if (!computed_here) {
-      std::lock_guard<std::mutex> lock(metrics_mutex_);
-      ++metrics_.store_hits;
-    }
-    responses[i] = finish(slots[i].key, std::move(*cert), !computed_here);
-    slots[i].arena->annotate(requests[i], responses[i]);
+    responses[i] = settle(requests[i], admission);
   }
   return responses;
 }

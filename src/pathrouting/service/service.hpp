@@ -13,11 +13,17 @@
 //        into the store, publish.
 //
 //   serve_batch(requests)
-//     -> dedupes keys inside the batch, serves hits, and runs the
-//        distinct misses as fixed chunks on the deterministic parallel
-//        substrate (support/parallel). Responses land in fixed slots,
-//        so a batch is bit-identical to serving its requests serially
-//        — the property tests/test_service.cpp pins under TSan.
+//     -> resolves every request and admits the first occurrence of
+//        each key, serially on the calling thread, through the same
+//        store lookup and in-flight admission as serve();
+//     -> computes only the keys this batch owns, as fixed chunks on
+//        the deterministic parallel substrate (support/parallel); no
+//        chunk waits on another caller's computation;
+//     -> then waits on keys other callers own, and answers each later
+//        duplicate as serve() would: a store hit, or the same error.
+//        Responses land in fixed slots, so a batch is bit-identical to
+//        serving its requests serially — the property
+//        tests/test_service.cpp pins under TSan.
 //
 // One EngineArena per algorithm holds the ChainRouter / DecodeRouter /
 // MemoRoutingEngine. Arenas are immutable after construction and the
@@ -118,8 +124,8 @@ class CertificateService {
   [[nodiscard]] Response serve(const Request& request);
 
   /// Serves a batch: responses[i] answers requests[i] and is
-  /// bit-identical to serve(requests[i]) in isolation. Distinct
-  /// missing keys are computed concurrently (PR_THREADS).
+  /// bit-identical to serving the batch serially. Keys the batch is
+  /// first to miss are computed concurrently (PR_THREADS).
   [[nodiscard]] std::vector<Response> serve_batch(
       std::span<const Request> requests);
 
@@ -144,6 +150,26 @@ class CertificateService {
   /// Hit path + digest-match audit; increments error metrics on audit
   /// refusal.
   Response finish(const StoreKey& key, Certificate cert, bool from_cache);
+
+  /// One request on its way through serve(): a final response, or a
+  /// key this caller owns (computes) or another caller is computing.
+  struct Admission {
+    Response response;
+    std::shared_ptr<const EngineArena> arena;  // null once refused
+    StoreKey key;
+    std::shared_ptr<Inflight> owned;
+    std::shared_ptr<Inflight> other;
+  };
+  /// Counts the request and resolves its arena and store key, or
+  /// refuses it with the error response.
+  Admission resolve(const Request& request);
+  /// Store lookup, then in-flight admission, of a resolved request.
+  void admit(const Request& request, Admission& admission);
+  /// Computes, stores and publishes an owned key.
+  Response publish(const Request& request, const Admission& admission);
+  /// The final response: publish an owned key, wait on another
+  /// caller's, or return the one admission answered.
+  Response settle(const Request& request, Admission& admission);
 
   ServiceConfig config_;
   CertificateStore store_;

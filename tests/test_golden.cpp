@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "pathrouting/audit/audit.hpp"
 #include "pathrouting/bilinear/analysis.hpp"
 #include "pathrouting/bilinear/catalog.hpp"
 #include "pathrouting/cdag/implicit.hpp"
@@ -164,6 +165,31 @@ std::string golden_text(const std::string& name, int kmax) {
   return os.str();
 }
 
+/// Compares `fresh` byte-for-byte with the checked-in corpus file
+/// `name` under PR_GOLDEN_DIR, or rewrites the file (and skips) when
+/// PR_GOLDEN_REGEN=1. `what` names the corpus in the failure message.
+void expect_matches_golden(const std::string& name, const std::string& fresh,
+                           const std::string& what) {
+  const std::string path = std::string(PR_GOLDEN_DIR) + "/" + name;
+  const char* regen = std::getenv("PR_GOLDEN_REGEN");
+  if (regen != nullptr && std::string(regen) == "1") {
+    std::ofstream out(path, std::ios::binary);
+    ASSERT_TRUE(out.good()) << "cannot write " << path;
+    out << fresh;
+    GTEST_SKIP() << "regenerated " << path;
+  }
+
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << "missing golden file " << path
+                         << " (run with PR_GOLDEN_REGEN=1 to create)";
+  std::ostringstream stored;
+  stored << in.rdbuf();
+  EXPECT_EQ(stored.str(), fresh)
+      << what << " diverged from the corpus; if the change is "
+      << "intentional, regenerate with PR_GOLDEN_REGEN=1 and review the "
+      << "diff";
+}
+
 struct GoldenCase {
   std::string algorithm;
   int kmax;
@@ -180,27 +206,9 @@ class GoldenTest : public ::testing::TestWithParam<GoldenCase> {};
 
 TEST_P(GoldenTest, CertificatesMatchCheckedInCorpus) {
   const GoldenCase& param = GetParam();
-  const std::string path =
-      std::string(PR_GOLDEN_DIR) + "/" + param.algorithm + ".golden";
-  const std::string fresh = golden_text(param.algorithm, param.kmax);
-
-  const char* regen = std::getenv("PR_GOLDEN_REGEN");
-  if (regen != nullptr && std::string(regen) == "1") {
-    std::ofstream out(path, std::ios::binary);
-    ASSERT_TRUE(out.good()) << "cannot write " << path;
-    out << fresh;
-    GTEST_SKIP() << "regenerated " << path;
-  }
-
-  std::ifstream in(path, std::ios::binary);
-  ASSERT_TRUE(in.good()) << "missing golden file " << path
-                         << " (run with PR_GOLDEN_REGEN=1 to create)";
-  std::ostringstream stored;
-  stored << in.rdbuf();
-  EXPECT_EQ(stored.str(), fresh)
-      << "routing certificates diverged from the corpus; if the change "
-         "is intentional, regenerate with PR_GOLDEN_REGEN=1 and review "
-         "the diff";
+  expect_matches_golden(param.algorithm + ".golden",
+                        golden_text(param.algorithm, param.kmax),
+                        "routing certificates");
 }
 
 INSTANTIATE_TEST_SUITE_P(Corpus, GoldenTest,
@@ -252,26 +260,29 @@ std::string search_golden_text() {
 }
 
 TEST(SearchGoldenTest, CertifiedOptimaMatchCheckedInCorpus) {
-  const std::string path = std::string(PR_GOLDEN_DIR) + "/search.golden";
-  const std::string fresh = search_golden_text();
+  expect_matches_golden("search.golden", search_golden_text(),
+                        "schedule-search certificates");
+}
 
-  const char* regen = std::getenv("PR_GOLDEN_REGEN");
-  if (regen != nullptr && std::string(regen) == "1") {
-    std::ofstream out(path, std::ios::binary);
-    ASSERT_TRUE(out.good()) << "cannot write " << path;
-    out << fresh;
-    GTEST_SKIP() << "regenerated " << path;
+/// The audit corpus: the rendered audit::run_all report (text and JSON)
+/// of every catalog algorithm at r = 2, the pr_lint default options.
+/// It pins which rules run, in which order, and every finding, cap and
+/// note, so a refactor of a rule suite cannot change a report silently.
+/// Regenerate like the routing corpus:
+///   PR_GOLDEN_REGEN=1 ./build/tests/test_golden
+std::string audit_golden_text() {
+  std::string out = "pathrouting-audit-golden-v1\n";
+  for (const std::string& name : bilinear::catalog_names()) {
+    const cdag::Cdag cdag(bilinear::by_name(name), 2);
+    const audit::AuditReport report = audit::run_all(cdag);
+    out += "== " + name + " (r=2) ==\n" + report.to_text() +
+           report.to_json() + "\n";
   }
+  return out;
+}
 
-  std::ifstream in(path, std::ios::binary);
-  ASSERT_TRUE(in.good()) << "missing golden file " << path
-                         << " (run with PR_GOLDEN_REGEN=1 to create)";
-  std::ostringstream stored;
-  stored << in.rdbuf();
-  EXPECT_EQ(stored.str(), fresh)
-      << "schedule-search certificates diverged from the corpus; if the "
-         "change is intentional, regenerate with PR_GOLDEN_REGEN=1 and "
-         "review the diff";
+TEST(AuditGoldenTest, RunAllReportsMatchCheckedInCorpus) {
+  expect_matches_golden("audit.golden", audit_golden_text(), "audit reports");
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include "pathrouting/audit/audit.hpp"
 #include "pathrouting/bilinear/catalog.hpp"
 #include "pathrouting/cdag/implicit.hpp"
+#include "pathrouting/obs/obs.hpp"
 #include "pathrouting/routing/decode_routing.hpp"
 #include "pathrouting/routing/memo_routing.hpp"
 #include "pathrouting/service/certificate.hpp"
@@ -28,6 +29,7 @@
 #include "pathrouting/service/service.hpp"
 #include "pathrouting/service/store.hpp"
 #include "pathrouting/support/digest.hpp"
+#include "pathrouting/support/parallel.hpp"
 #include "pathrouting/support/prng.hpp"
 
 namespace {
@@ -571,6 +573,63 @@ TEST(CertificateService, ConcurrentBatchesShareTheStore) {
                 responses[0][i].certificate);  // all batches agree
     }
   }
+}
+
+TEST(CertificateService, BatchOverlappingASingleServeFinishes) {
+  // One thread serves a k=5 segment request, whose certifier opens
+  // parallel regions; another batches that request with a second one.
+  // A batch chunk parked on the first thread's computation while its
+  // region holds the pool would deadlock against that thread's own
+  // region, so this test hangs if a batch ever waits inside a chunk.
+  const service::Request segment{"strassen", 5, CertKind::kSegment};
+  const std::vector<service::Request> batch = {
+      segment, {"strassen", 3, CertKind::kChain}};
+  const support::parallel::ThreadOverride threads(4);
+  for (int round = 0; round < 3; ++round) {
+    service::CertificateService svc(service::ServiceConfig{});
+    service::Response single;
+    std::vector<service::Response> batched;
+    std::thread server([&] { single = svc.serve(segment); });
+    std::thread batcher([&] { batched = svc.serve_batch(batch); });
+    server.join();
+    batcher.join();
+    ASSERT_TRUE(single.ok) << single.error;
+    ASSERT_EQ(batched.size(), 2u);
+    ASSERT_TRUE(batched[0].ok) << batched[0].error;
+    ASSERT_TRUE(batched[1].ok) << batched[1].error;
+    EXPECT_EQ(batched[0].certificate, single.certificate);
+    EXPECT_EQ(svc.metrics().computed, 2u);  // the segment key only once
+  }
+}
+
+TEST(CertificateService, BatchCountsEveryRequestInObsAndMetrics) {
+  // Duplicates, one of them of a failing request, are answered by copy
+  // but still count, as serving the batch serially would count them.
+  std::vector<service::Request> requests = mixed_requests();
+  requests.push_back({"bad_name", 2, CertKind::kChain});
+  obs::set_enabled(true);
+  obs::reset_counters();
+  service::CertificateService svc(service::ServiceConfig{});
+  (void)svc.serve_batch(requests);
+  const std::vector<obs::CounterValue> counters = obs::counters_snapshot();
+  obs::set_enabled(false);
+  const auto counter = [&](const std::string& name) {
+    for (const obs::CounterValue& c : counters) {
+      if (c.name == name) return c.value;
+    }
+    ADD_FAILURE() << "counter " << name << " not in snapshot";
+    return std::uint64_t{0};
+  };
+
+  const service::ServiceMetrics m = svc.metrics();
+  EXPECT_EQ(m.requests, requests.size());
+  EXPECT_EQ(m.computed, 6u);    // the distinct valid requests
+  EXPECT_EQ(m.store_hits, 3u);  // their later duplicates
+  EXPECT_EQ(m.errors, 2u);      // bad_name and its duplicate
+  EXPECT_EQ(counter("service.requests"), m.requests);
+  EXPECT_EQ(counter("service.store_hits"), m.store_hits);
+  EXPECT_EQ(counter("service.computed"), m.computed);
+  EXPECT_EQ(counter("service.errors"), m.errors);
 }
 
 // ---------------------------------------------------------------------------
