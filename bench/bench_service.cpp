@@ -13,7 +13,7 @@
 //      100 µs.
 //   3. service_warm — a NEW service instance reopens the same store
 //      directory and replays the same trace: every answer now comes
-//      off the mmap'ed certificate files (no engine work at all).
+//      off the stored certificate files (no engine work at all).
 //   4. service_throughput — the warmed service replayed from 1/2/4/8
 //      concurrent client threads; reports requests/second.
 //
@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
       cli.flag_int("requests", 2048, "trace length");
   const std::int64_t seed = cli.flag_int("seed", 20260807, "trace seed");
   cli.finish(
-      "E18: certificate service — cold misses, cache-hit latency, mmap "
+      "E18: certificate service — cold misses, cache-hit latency, store "
       "reload, and client-thread throughput scaling.");
 
   bench::print_banner(
@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
       "Claim: a cache hit is a shared-lock map probe (p99 < 100 us), a\n"
       "cold strassen k = 7 chain miss certifies through the implicit\n"
       "engine in < 50 ms, and a reopened store serves everything off\n"
-      "mmap'ed certificate files with counts bit-identical to the\n"
+      "its certificate files with counts bit-identical to the\n"
       "first run.");
 
   const std::string store_dir =
@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
   }
 
   // Phases 2-4 share one store directory: phase 2 populates it, phase
-  // 3 reopens it cold (mmap path), phase 4 hammers the warm index.
+  // 3 reopens it cold (file path), phase 4 hammers the warm index.
   service::TraceSpec spec;
   spec.seed = static_cast<std::uint64_t>(seed);
   spec.num_requests = static_cast<std::uint64_t>(num_requests);
@@ -144,13 +144,13 @@ int main(int argc, char** argv) {
 
   {
     // Reopen: a brand-new service on the populated directory. Every
-    // request is a hit, first touch per key goes through mmap open +
+    // request is a hit, first touch per key goes through a file read +
     // full validation, repeats are index probes.
     service::CertificateService svc(config);
     const service::ReplayResult warm = service::replay_trace(svc, trace, 1);
     service::fill_replay_record({{"service_warm", spec, 1}, warm},
                                 json.add_record());
-    add_row("warm (mmap reload)", 1, warm);
+    add_row("warm (store reload)", 1, warm);
     check_clean("service_warm", warm);
     if (warm.computed != 0) {
       std::fprintf(stderr,

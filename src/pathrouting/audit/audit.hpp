@@ -190,8 +190,8 @@ AuditReport audit_certificate(
     const CertificateSpec& spec,
     const RuleSelection& selection = RuleSelection::all());
 
-/// Machine-model preconditions of a schedule (schedule.* rules);
-/// the full-diagnosis form of schedule::validate_schedule.
+/// Machine-model preconditions of a schedule (schedule.* rules):
+/// schedule::schedule_diagnostics under rule selection and capping.
 AuditReport audit_schedule(
     const cdag::Graph& graph, std::span<const VertexId> order,
     const RuleSelection& selection = RuleSelection::all());

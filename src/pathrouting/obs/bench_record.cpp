@@ -1,26 +1,17 @@
 #include "pathrouting/obs/bench_record.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 
+#include "pathrouting/support/json.hpp"
+
 namespace pathrouting::obs {
 
-namespace {
-
-std::string quote(const std::string& s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  out.push_back('"');
-  return out;
-}
-
-}  // namespace
+using support::json_string;
 
 BenchValue BenchValue::of(std::string value) {
   BenchValue v;
@@ -66,7 +57,7 @@ BenchValue BenchValue::of(bool value) {
 }
 
 std::string BenchValue::json() const {
-  return kind == Kind::kString ? quote(lexeme) : lexeme;
+  return kind == Kind::kString ? json_string(lexeme) : lexeme;
 }
 
 double BenchValue::as_double() const {
@@ -119,7 +110,7 @@ std::string RecordReader::one_of(std::string_view key,
   std::string value = text(key);
   if (ok() && std::find(allowed.begin(), allowed.end(), value) ==
                   allowed.end()) {
-    std::string why = quote(value) + " is not one of";
+    std::string why = json_string(value) + " is not one of";
     for (const std::string& a : allowed) why += " " + a;
     reject(key, why);
     return allowed.front();
@@ -146,16 +137,18 @@ std::int64_t RecordReader::integer(std::string_view key, std::int64_t min,
 
 void RecordReader::reject(std::string_view key, const std::string& why) {
   if (!error_.empty()) return;
-  error_ = "field " + quote(std::string(key)) + ": " + why;
+  error_ = "field " + json_string(key) + ": " + why;
 }
 
 std::string BenchFile::to_json() const {
   // Byte-compatible with the historical bench_common.hpp writer, so
   // committed baselines and freshly exported files diff cleanly.
-  std::string out = "{\n  \"bench\": " + quote(bench) +
-                    ",\n  \"threads\": " + std::to_string(threads) + ",\n";
+  std::string out = "{\n  \"bench\": " + json_string(bench) + ",\n";
+  if (threads.has_value()) {
+    out += "  \"threads\": " + std::to_string(*threads) + ",\n";
+  }
   for (const auto& [key, value] : extra) {
-    out += "  " + quote(key) + ": " + quote(value) + ",\n";
+    out += "  " + json_string(key) + ": " + json_string(value) + ",\n";
   }
   out += "  \"records\": [";
   for (std::size_t i = 0; i < records.size(); ++i) {
@@ -163,7 +156,7 @@ std::string BenchFile::to_json() const {
     const auto& fields = records[i].fields();
     for (std::size_t j = 0; j < fields.size(); ++j) {
       if (j != 0) out += ", ";
-      out += quote(fields[j].first) + ": " + fields[j].second.json();
+      out += json_string(fields[j].first) + ": " + fields[j].second.json();
     }
     out += "}";
   }
@@ -173,7 +166,7 @@ std::string BenchFile::to_json() const {
 
 void finalize_records(BenchFile& file, const std::string& commit) {
   for (BenchRecord& rec : file.records) {
-    if (!rec.has("threads")) rec.set("threads", file.threads);
+    if (!rec.has("threads")) rec.set("threads", file.threads.value_or(0));
     if (!rec.has("commit")) rec.set("commit", commit);
   }
 }
@@ -272,9 +265,14 @@ class Parser {
           case '"': out.push_back('"'); break;
           case '\\': out.push_back('\\'); break;
           case '/': out.push_back('/'); break;
+          case 'b': out.push_back('\b'); break;
+          case 'f': out.push_back('\f'); break;
           case 'n': out.push_back('\n'); break;
-          case 't': out.push_back('\t'); break;
           case 'r': out.push_back('\r'); break;
+          case 't': out.push_back('\t'); break;
+          case 'u':
+            if (!parse_unicode_escape(out)) return false;
+            break;
           default: return false;
         }
       } else {
@@ -282,6 +280,35 @@ class Parser {
       }
     }
     return false;  // unterminated
+  }
+
+  /// The four hex digits of a \uXXXX escape (a surrogate pair takes two
+  /// escapes), appended to `out` as UTF-8. A lone surrogate is rejected.
+  bool parse_unicode_escape(std::string& out) {
+    const auto hex4 = [&](std::uint32_t& unit) {
+      if (text_.size() - pos_ < 4) return false;
+      const char* first = text_.data() + pos_;
+      pos_ += 4;
+      const auto [end, ec] = std::from_chars(first, first + 4, unit, 16);
+      return ec == std::errc() && end == first + 4;
+    };
+    std::uint32_t cp = 0;
+    if (!hex4(cp) || (cp >= 0xdc00 && cp <= 0xdfff)) return false;
+    if (cp >= 0xd800 && cp <= 0xdbff) {
+      std::uint32_t low = 0;
+      if (text_.compare(pos_, 2, "\\u") != 0) return false;
+      pos_ += 2;
+      if (!hex4(low) || low < 0xdc00 || low > 0xdfff) return false;
+      cp = 0x10000 + ((cp - 0xd800) << 10) + (low - 0xdc00);
+    }
+    // UTF-8: a lead byte with the top bits, then 6-bit continuations.
+    const int tail = cp < 0x80 ? 0 : cp < 0x800 ? 1 : cp < 0x10000 ? 2 : 3;
+    constexpr std::uint32_t kLead[] = {0x00, 0xc0, 0xe0, 0xf0};
+    out.push_back(static_cast<char>(kLead[tail] | (cp >> (6 * tail))));
+    for (int i = tail - 1; i >= 0; --i) {
+      out.push_back(static_cast<char>(0x80 | ((cp >> (6 * i)) & 0x3f)));
+    }
+    return true;
   }
 
   bool parse_scalar(BenchValue& out) {

@@ -143,7 +143,9 @@ class RecordReader {
 /// A whole BENCH_*.json file.
 struct BenchFile {
   std::string bench;
-  int threads = 0;
+  /// Written only when set: a hand-merged baseline of runs at several
+  /// thread counts has none, and must re-serialize without one.
+  std::optional<int> threads;
   /// Top-level string fields beyond bench/threads/records ("note"),
   /// in file order; round-tripped verbatim.
   std::vector<std::pair<std::string, std::string>> extra;

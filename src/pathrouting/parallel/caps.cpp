@@ -10,6 +10,23 @@ namespace pathrouting::parallel {
 
 namespace {
 
+/// The one CAPS step policy, shared by both simulators: at recursion
+/// level `level` with `bfs_remaining` BFS levels left to spend, take a
+/// BFS step iff the remaining levels are all needed to spend P, or the
+/// all-BFS tail 3 · 2s/g · (b/a)^bfs_remaining fits in the local
+/// memory `mem` (s = a^(r-level) operand elements, g = b^bfs_remaining).
+bool takes_bfs_step(const BilinearAlgorithm& alg, int r, int level,
+                    int bfs_remaining, double mem) {
+  const double a = alg.a();
+  const double b = alg.b();
+  const double s = std::pow(a, r - level);
+  const double g = std::pow(b, bfs_remaining);
+  const double share = 2.0 * s / g;
+  const bool must_bfs = level + bfs_remaining >= r;
+  const bool bfs_fits = 3.0 * share * std::pow(b / a, bfs_remaining) <= mem;
+  return bfs_fits || must_bfs;
+}
+
 /// Effect of one recursive multiply on a (symmetric) processor,
 /// relative to its state at call entry. Contract: on entry the
 /// processor holds its 2s/g operand share (already counted in the
@@ -33,12 +50,6 @@ struct Simulator {
   // bfs_remaining), so sibling subproblems have identical deltas.
   std::map<std::pair<int, int>, Delta> memo;
 
-  [[nodiscard]] double bfs_tail_need(double share, int bfs_remaining) const {
-    const double growth =
-        std::pow(static_cast<double>(alg.b()) / alg.a(), bfs_remaining);
-    return 3.0 * share * growth;
-  }
-
   Delta run(int level, int bfs_remaining) {
     const auto key = std::make_pair(level, bfs_remaining);
     if (const auto it = memo.find(key); it != memo.end()) return it->second;
@@ -56,10 +67,7 @@ struct Simulator {
       return d;
     }
     PR_REQUIRE_MSG(level < r, "recursion exhausted before P was spent");
-    const double share = 2.0 * s / g;
-    const bool must_bfs = level + bfs_remaining >= r;
-    const bool bfs_fits = bfs_tail_need(share, bfs_remaining) <= m;
-    if (bfs_fits || must_bfs) {
+    if (takes_bfs_step(alg, r, level, bfs_remaining, m)) {
       // ---- BFS step: b subproblems solved by disjoint subgroups. ----
       d.bfs_steps = 1;
       double mem = 0;  // relative to entry
@@ -179,14 +187,7 @@ CapsMachineResult simulate_caps_machine(const BilinearAlgorithm& alg, int r,
   int m = options.bfs_levels;
   while (m > 0) {
     PR_REQUIRE_MSG(level < r, "recursion exhausted before P was spent");
-    const double s = std::pow(static_cast<double>(a), r - level);
-    const double g = std::pow(static_cast<double>(b), m);
-    const double share = 2.0 * s / g;
-    const double growth =
-        std::pow(static_cast<double>(b) / static_cast<double>(a), m);
-    const bool must_bfs = level + m >= r;
-    const bool bfs_fits = 3.0 * share * growth <= mem;
-    if (bfs_fits || must_bfs) {
+    if (takes_bfs_step(alg, r, level, m, mem)) {
       // BFS: redistribute both encoded operands, then (post-children)
       // gather the b product blocks. Per-processor shares (b-1)(s/a)/g
       // round up to whole words per superstep.

@@ -70,12 +70,4 @@ std::vector<audit::Diagnostic> schedule_diagnostics(
   return diags;
 }
 
-ValidationResult validate_schedule(const Graph& graph,
-                                   std::span<const VertexId> order) {
-  const std::vector<audit::Diagnostic> diags =
-      schedule_diagnostics(graph, order);
-  if (diags.empty()) return {};
-  return {false, diags.front().message};
-}
-
 }  // namespace pathrouting::schedule

@@ -1,11 +1,9 @@
 // Schedule validation: the pebble game's preconditions, reported as
-// audit Diagnostics (schedule.* rules of the audit registry). The
-// legacy first-error ValidationResult survives as a shim over the
-// diagnostic scan.
+// audit Diagnostics (schedule.* rules of the audit registry). A
+// schedule is valid iff schedule_diagnostics returns no finding.
 #pragma once
 
 #include <span>
-#include <string>
 #include <vector>
 
 #include "pathrouting/audit/diagnostic.hpp"
@@ -25,15 +23,5 @@ using cdag::VertexId;
 /// schedule yields every independent finding in one pass.
 std::vector<audit::Diagnostic> schedule_diagnostics(
     const Graph& graph, std::span<const VertexId> order);
-
-struct ValidationResult {
-  bool ok = true;
-  std::string error;
-};
-
-/// Legacy shim over schedule_diagnostics: ok iff no findings, else the
-/// first finding mapped to the historical one-line error string.
-ValidationResult validate_schedule(const Graph& graph,
-                                   std::span<const VertexId> order);
 
 }  // namespace pathrouting::schedule

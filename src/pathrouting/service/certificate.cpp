@@ -1,14 +1,13 @@
 #include "pathrouting/service/certificate.hpp"
 
 #include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 #include "pathrouting/support/check.hpp"
 #include "pathrouting/support/digest.hpp"
@@ -121,12 +120,9 @@ DecodeResult decode_certificate(std::span<const unsigned char> bytes) {
   if (std::memcmp(p, kMagic, sizeof(kMagic)) != 0) {
     return reject("bad magic: not a pathrouting certificate file");
   }
-  // The marker is validated by a NATIVE read: the zero-copy payload
-  // span reinterprets mapped bytes as host u64, which is only sound
-  // when the host reads the little-endian file natively.
-  std::uint64_t native_marker = 0;
-  std::memcpy(&native_marker, p + 8, 8);
-  if (native_marker != kEndianMarker) {
+  // Every field is read little-endian, so a byte-swapped marker (a
+  // file written in big-endian order) is rejected on any host.
+  if (get_u64(p + 8) != kEndianMarker) {
     return reject("foreign endianness: certificate files are "
                   "little-endian and are never byte-swapped");
   }
@@ -184,91 +180,31 @@ DecodeResult decode_certificate(std::span<const unsigned char> bytes) {
   return DecodeResult{std::move(cert), std::string()};
 }
 
-MappedCertificate::MappedCertificate(MappedCertificate&& other) noexcept
-    : data_(std::exchange(other.data_, nullptr)),
-      size_(std::exchange(other.size_, 0)),
-      header_(other.header_),
-      words_(std::exchange(other.words_, {})) {}
-
-MappedCertificate& MappedCertificate::operator=(
-    MappedCertificate&& other) noexcept {
-  if (this != &other) {
-    if (data_ != nullptr) ::munmap(data_, size_);
-    data_ = std::exchange(other.data_, nullptr);
-    size_ = std::exchange(other.size_, 0);
-    header_ = other.header_;
-    words_ = std::exchange(other.words_, {});
-  }
-  return *this;
-}
-
-MappedCertificate::~MappedCertificate() {
-  if (data_ != nullptr) ::munmap(data_, size_);
-}
-
-MappedOpenResult MappedCertificate::open(const std::string& path) {
-  const auto fail = [&](const char* what) {
+DecodeResult read_certificate(const std::string& path) {
+  const auto fail = [&](const char* what, int err) {
     std::ostringstream os;
     os << path << ": " << what;
-    const int err = errno;
     if (err != 0) os << " (" << std::strerror(err) << ")";
-    return MappedOpenResult{std::nullopt, os.str()};
+    return DecodeResult{std::nullopt, os.str()};
   };
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return fail("cannot open");
-  struct stat st = {};
-  if (::fstat(fd, &st) != 0) {
-    MappedOpenResult r = fail("cannot stat");
-    ::close(fd);
-    return r;
+  if (fd < 0) return fail("cannot open", errno);
+  // A certificate is a few hundred bytes: plain reads, no mapping.
+  std::vector<unsigned char> bytes;
+  unsigned char chunk[512];
+  ssize_t got = 0;
+  while ((got = ::read(fd, chunk, sizeof(chunk))) > 0) {
+    bytes.insert(bytes.end(), chunk, chunk + got);
   }
-  const std::size_t size = static_cast<std::size_t>(st.st_size);
-  if (size == 0) {
-    ::close(fd);
-    errno = 0;
-    return fail("empty file: truncated certificate");
-  }
-  void* data = ::mmap(nullptr, size, PROT_READ, MAP_SHARED, fd, 0);
+  const int read_errno = got < 0 ? errno : 0;
   ::close(fd);
-  if (data == MAP_FAILED) return fail("mmap failed");
-
-  MappedCertificate mapped;
-  mapped.data_ = data;
-  mapped.size_ = size;
-  const std::span<const unsigned char> bytes(
-      static_cast<const unsigned char*>(data), size);
+  if (got < 0) return fail("cannot read", read_errno);
+  if (bytes.empty()) return fail("empty file: truncated certificate", 0);
   DecodeResult decoded = decode_certificate(bytes);
   if (!decoded.certificate.has_value()) {
-    std::ostringstream os;
-    os << path << ": " << decoded.error;
-    return MappedOpenResult{std::nullopt, os.str()};
+    decoded.error = path + ": " + decoded.error;
   }
-  const Certificate& cert = *decoded.certificate;
-  mapped.header_ = Header{cert.engine_version, cert.algorithm_digest,
-                          cert.kind,           cert.k,
-                          cert.n0,             cert.b,
-                          cert.payload_digest};
-  // Validated above: the file is native-endian and exactly
-  // header + words + footer, and the payload starts 8-byte aligned
-  // inside the page-aligned mapping.
-  mapped.words_ = std::span<const std::uint64_t>(
-      reinterpret_cast<const std::uint64_t*>(
-          static_cast<const unsigned char*>(data) + kHeaderBytes),
-      cert.words.size());
-  return MappedOpenResult{std::move(mapped), std::string()};
-}
-
-Certificate MappedCertificate::to_certificate() const {
-  Certificate cert;
-  cert.engine_version = header_.engine_version;
-  cert.algorithm_digest = header_.algorithm_digest;
-  cert.kind = header_.kind;
-  cert.k = header_.k;
-  cert.n0 = header_.n0;
-  cert.b = header_.b;
-  cert.payload_digest = header_.payload_digest;
-  cert.words.assign(words_.begin(), words_.end());
-  return cert;
+  return decoded;
 }
 
 }  // namespace pathrouting::service

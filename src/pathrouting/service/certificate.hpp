@@ -1,5 +1,5 @@
 // The binary certificate format — the unit the certificate service
-// stores, mmaps, and serves.
+// stores, reads back, and serves.
 //
 // A certificate freezes the *outcome* of one routing verification: the
 // same Lemma-3/Lemma-4/Theorem-2 chain counts, Claim-1 decode counts,
@@ -29,11 +29,11 @@
 //       64   N*8  payload words (meaning indexed by kind, see below)
 //    64+N*8    8  file digest (fnv1a_bytes of everything before it)
 //
-// The header is 64 bytes, so in an mmap'ed file the payload sits
-// 8-byte aligned and the zero-copy reader (MappedCertificate) hands
-// out a span directly into the mapping. Readers validate sizes and
-// all three digests BEFORE exposing anything, so truncated, corrupted,
-// or version-mismatched files produce a diagnostic, never UB (the
+// The header is 64 bytes, so the payload sits 8-byte aligned in the
+// file and any reader may map it in place. decode_certificate is the
+// one validator of these bytes: it checks sizes and all three digests
+// BEFORE exposing anything, so truncated, corrupted, or
+// version-mismatched files produce a diagnostic, never UB (the
 // round-trip and rejection paths run under ASan/UBSan in CI).
 #pragma once
 
@@ -157,66 +157,10 @@ struct DecodeResult {
 [[nodiscard]] DecodeResult decode_certificate(
     std::span<const unsigned char> bytes);
 
-struct MappedOpenResult;
-
-/// A certificate file mapped read-only into memory. The payload span
-/// points INTO the mapping (zero-copy; 8-byte aligned by layout);
-/// header fields are decoded once at open. The mapping lives as long
-/// as the object.
-class MappedCertificate {
- public:
-  MappedCertificate(MappedCertificate&& other) noexcept;
-  MappedCertificate& operator=(MappedCertificate&& other) noexcept;
-  MappedCertificate(const MappedCertificate&) = delete;
-  MappedCertificate& operator=(const MappedCertificate&) = delete;
-  ~MappedCertificate();
-
-  /// mmaps `path` and validates it exactly like decode_certificate;
-  /// a missing, truncated, corrupted, or version-mismatched file is an
-  /// error, never UB.
-  [[nodiscard]] static MappedOpenResult open(const std::string& path);
-
-  [[nodiscard]] std::uint32_t engine_version() const {
-    return header_.engine_version;
-  }
-  [[nodiscard]] std::uint64_t algorithm_digest() const {
-    return header_.algorithm_digest;
-  }
-  [[nodiscard]] CertKind kind() const { return header_.kind; }
-  [[nodiscard]] std::uint32_t k() const { return header_.k; }
-  [[nodiscard]] std::uint32_t n0() const { return header_.n0; }
-  [[nodiscard]] std::uint32_t b() const { return header_.b; }
-  [[nodiscard]] std::uint64_t payload_digest() const {
-    return header_.payload_digest;
-  }
-  /// Zero-copy view of the payload words inside the mapping.
-  [[nodiscard]] std::span<const std::uint64_t> words() const { return words_; }
-
-  /// Copies out an owning Certificate (what the store index caches).
-  [[nodiscard]] Certificate to_certificate() const;
-
- private:
-  MappedCertificate() = default;
-
-  struct Header {
-    std::uint32_t engine_version = 0;
-    std::uint64_t algorithm_digest = 0;
-    CertKind kind = CertKind::kChain;
-    std::uint32_t k = 0;
-    std::uint32_t n0 = 0;
-    std::uint32_t b = 0;
-    std::uint64_t payload_digest = 0;
-  };
-
-  void* data_ = nullptr;
-  std::size_t size_ = 0;
-  Header header_;
-  std::span<const std::uint64_t> words_;
-};
-
-struct MappedOpenResult {
-  std::optional<MappedCertificate> file;
-  std::string error;  // empty on success
-};
+/// Reads the certificate file at `path` and decodes it once with
+/// decode_certificate. A missing, empty, truncated, corrupted, or
+/// version-mismatched file is a rejection, never UB; every diagnostic
+/// starts with "<path>: ".
+[[nodiscard]] DecodeResult read_certificate(const std::string& path);
 
 }  // namespace pathrouting::service

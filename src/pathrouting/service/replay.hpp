@@ -91,7 +91,7 @@ void fill_cold_miss_record(const ColdMissPoint& point, obs::BenchRecord& rec);
 /// "service_trace" replays the trace on a fresh service over an empty
 /// throwaway store (first touch of each key misses, repeats hit), and
 /// "service_warm" then replays it again on a second service that
-/// reopens the populated store, so every answer comes off mmap.
+/// reopens the populated store, so every answer is a store file hit.
 /// bench_service also records "service_throughput" replays of its own
 /// warm service; they are timing-only and never re-run.
 struct ReplaySpec {

@@ -4,8 +4,9 @@
 // Request path:
 //
 //   serve(request)
-//     -> store lookup (shared lock + mmap; a hit never touches an
-//        engine and is the latency the service is optimized for)
+//     -> store lookup (shared-lock index probe, else one read + decode
+//        of the key's file; a hit never touches an engine and is the
+//        latency the service is optimized for)
 //     -> in-flight admission: concurrent requests for the SAME key
 //        coalesce onto one computation (a shared_future); only the
 //        first requester computes

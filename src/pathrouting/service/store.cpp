@@ -71,15 +71,15 @@ std::optional<Certificate> CertificateStore::lookup(const StoreKey& key) {
     misses.add();
     return std::nullopt;
   }
-  MappedOpenResult mapped = MappedCertificate::open(path_of(key));
-  if (!mapped.file.has_value()) {
+  DecodeResult read = read_certificate(path_of(key));
+  if (!read.certificate.has_value()) {
     // Missing file is the normal miss; a file that exists but fails
     // validation is ALSO a miss (the service recomputes and the
-    // rewrite replaces the bad bytes) — but it is worth a trace.
+    // rewrite replaces the bad bytes).
     misses.add();
     return std::nullopt;
   }
-  Certificate cert = mapped.file->to_certificate();
+  Certificate& cert = *read.certificate;
   if (key_of(cert) != key) {
     // The file is internally consistent but describes a different
     // request than its name claims — treat as a miss and rewrite.

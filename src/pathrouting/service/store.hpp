@@ -15,10 +15,11 @@
 // serve stale numbers.
 //
 // The store is a directory of certificate files plus an in-memory
-// index. Lookups that miss the index mmap the file (zero-copy
-// validation, see certificate.hpp) and cache the decoded words; inserts
-// write through a temp file + rename, so concurrent writers of the
-// SAME key race benignly — both bodies are byte-identical.
+// index. Lookups that miss the index read the file, decode it once
+// (read_certificate, see certificate.hpp) and index the decoded
+// certificate; inserts write through a temp file + rename, so
+// concurrent writers of the SAME key race benignly — both bodies are
+// byte-identical.
 #pragma once
 
 #include <cstdint>
@@ -59,10 +60,11 @@ class CertificateStore {
   /// is created if missing and certificate files live directly in it.
   explicit CertificateStore(std::string dir);
 
-  /// Index hit, else mmap + validate the key's file. A file that fails
-  /// validation (truncated/corrupted/foreign version) is treated as a
-  /// miss — the service recomputes and rewrites it. Returns a copy;
-  /// certificate payloads are a handful of words.
+  /// Index hit, else read + decode the key's file. A file that fails
+  /// validation (truncated/corrupted/foreign version) or addresses
+  /// another key is treated as a miss — the service recomputes and
+  /// rewrites it. Returns a copy; certificate payloads are a handful
+  /// of words.
   [[nodiscard]] std::optional<Certificate> lookup(const StoreKey& key);
 
   /// Index-only probe: no file access and no hit/miss counters. An

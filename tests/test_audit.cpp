@@ -249,15 +249,13 @@ TEST(Audit, LegacyValidatorAgreesWithDiagnostics) {
   const cdag::Cdag c(bilinear::strassen(), 1, {.with_coefficients = false});
   auto order = schedule::dfs_schedule(c);
 
-  EXPECT_TRUE(schedule::validate_schedule(c.graph(), order).ok);
   EXPECT_TRUE(schedule::schedule_diagnostics(c.graph(), order).empty());
+  EXPECT_TRUE(audit::audit_schedule(c.graph(), order).ok());
 
   std::swap(order.front(), order.back());
-  const auto result = schedule::validate_schedule(c.graph(), order);
   const auto diags = schedule::schedule_diagnostics(c.graph(), order);
-  ASSERT_FALSE(result.ok);
   ASSERT_FALSE(diags.empty());
-  EXPECT_EQ(result.error, diags.front().message);
+  EXPECT_FALSE(diags.front().message.empty());
 
   const AuditReport report = audit::audit_schedule(c.graph(), order);
   EXPECT_FALSE(report.ok());

@@ -6,6 +6,8 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <new>
 #include <sstream>
 #include <string>
@@ -324,6 +326,66 @@ TEST(BenchRecordTest, FileRoundTripsByteStable) {
   EXPECT_EQ(parsed.file->threads, 3);
   ASSERT_EQ(parsed.file->records.size(), 2u);
   EXPECT_EQ(parsed.file->records[0].int_or("chains", 0), 1234567890123ll);
+}
+
+TEST(BenchRecordTest, ControlCharactersRoundTripAsStrictJson) {
+  std::string nasty;
+  for (char c = 0x01; c < 0x20; ++c) nasty.push_back(c);
+  nasty += "\"\\ end";
+  obs::BenchFile file;
+  file.bench = "escapes";
+  file.extra.emplace_back("note", nasty);
+  file.records.emplace_back().set(nasty, nasty);
+
+  const std::string once = file.to_json();
+  for (const char c : once) {
+    // Strict JSON: the only raw control bytes are the layout newlines.
+    EXPECT_TRUE(c == '\n' || static_cast<unsigned char>(c) >= 0x20)
+        << "raw control byte " << static_cast<int>(c);
+  }
+  EXPECT_NE(once.find("\\u0001"), std::string::npos) << once;
+  const obs::BenchParseResult parsed = obs::parse_bench_json(once);
+  ASSERT_TRUE(parsed.file.has_value()) << parsed.error;
+  EXPECT_EQ(parsed.file->to_json(), once);
+  ASSERT_EQ(parsed.file->records.size(), 1u);
+  EXPECT_EQ(parsed.file->records[0].text_or(nasty, ""), nasty);
+  EXPECT_EQ(parsed.file->extra.at(0).second, nasty);
+}
+
+TEST(BenchRecordTest, ParserDecodesEveryJsonEscape) {
+  const obs::BenchParseResult parsed = obs::parse_bench_json(
+      R"({"bench": "x", "note": "\u0041\b\f\/\r\u00e9\u20AC\ud83d\ude00",)"
+      R"( "records": []})");
+  ASSERT_TRUE(parsed.file.has_value()) << parsed.error;
+  EXPECT_EQ(parsed.file->extra.at(0).second,
+            "A\b\f/\r\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80");
+  for (const char* bad : {R"({"bench": "\u12", "records": []})",
+                          R"({"bench": "\u12g4", "records": []})",
+                          R"({"bench": "\ud83d", "records": []})",
+                          R"({"bench": "\ude00", "records": []})",
+                          R"({"bench": "\x41", "records": []})"}) {
+    EXPECT_FALSE(obs::parse_bench_json(bad).file.has_value()) << bad;
+  }
+}
+
+TEST(BenchRecordTest, CommittedBaselinesReserializeByteIdentically) {
+  int checked = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(PR_SOURCE_DIR)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("BENCH_", 0) != 0 || entry.path().extension() != ".json") {
+      continue;
+    }
+    SCOPED_TRACE(name);
+    std::ifstream in(entry.path(), std::ios::binary);
+    std::ostringstream text;
+    text << in.rdbuf();
+    const obs::BenchParseResult parsed = obs::parse_bench_json(text.str());
+    ASSERT_TRUE(parsed.file.has_value()) << parsed.error;
+    EXPECT_EQ(parsed.file->to_json(), text.str());
+    ++checked;
+  }
+  EXPECT_GE(checked, 5);
 }
 
 TEST(BenchRecordTest, ParserPreservesNumberLexemes) {

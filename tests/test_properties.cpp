@@ -302,7 +302,7 @@ TEST(PipelineTest, CertifyThenSimulateLeavesScheduleValid) {
   const auto alg = bilinear::winograd();
   const Cdag cdag(alg, 6, {.with_coefficients = false});
   const auto order = schedule::dfs_schedule(cdag);
-  ASSERT_TRUE(schedule::validate_schedule(cdag.graph(), order).ok);
+  ASSERT_TRUE(schedule::schedule_diagnostics(cdag.graph(), order).empty());
   const bounds::CertifyResult cert =
       bounds::certify_segments(cdag, order, {.cache_size = 2});
   pebble::PebbleOptions opts{.cache_size = 8};
@@ -311,7 +311,7 @@ TEST(PipelineTest, CertifyThenSimulateLeavesScheduleValid) {
     return cdag.layout().is_output(v);
   });
   EXPECT_GT(sim.io(), 0u);
-  EXPECT_TRUE(schedule::validate_schedule(cdag.graph(), order).ok);
+  EXPECT_TRUE(schedule::schedule_diagnostics(cdag.graph(), order).empty());
 }
 
 }  // namespace

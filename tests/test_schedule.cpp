@@ -21,8 +21,9 @@ TEST_P(ScheduleValidityTest, DfsBfsRandomAreAllValid) {
   for (const auto& order :
        {dfs_schedule(cdag), bfs_schedule(cdag),
         random_topological_schedule(cdag.graph(), 42)}) {
-    const ValidationResult vr = validate_schedule(cdag.graph(), order);
-    EXPECT_TRUE(vr.ok) << name << " r=" << r << ": " << vr.error;
+    const auto diags = schedule_diagnostics(cdag.graph(), order);
+    EXPECT_TRUE(diags.empty())
+        << name << " r=" << r << ": " << diags.front().message;
   }
 }
 
@@ -43,19 +44,19 @@ TEST(ValidateTest, RejectsBrokenSchedules) {
   // Duplicate a vertex.
   auto dup = order;
   dup.push_back(dup.front());
-  EXPECT_FALSE(validate_schedule(cdag.graph(), dup).ok);
+  EXPECT_FALSE(schedule_diagnostics(cdag.graph(), dup).empty());
   // Drop a vertex.
   auto missing = order;
   missing.pop_back();
-  EXPECT_FALSE(validate_schedule(cdag.graph(), missing).ok);
+  EXPECT_FALSE(schedule_diagnostics(cdag.graph(), missing).empty());
   // Use before compute: move the last vertex (an output) to the front.
   auto reordered = order;
   std::swap(reordered.front(), reordered.back());
-  EXPECT_FALSE(validate_schedule(cdag.graph(), reordered).ok);
+  EXPECT_FALSE(schedule_diagnostics(cdag.graph(), reordered).empty());
   // Schedule an input.
   auto with_input = order;
   with_input.push_back(cdag.layout().input(bilinear::Side::A, 0));
-  EXPECT_FALSE(validate_schedule(cdag.graph(), with_input).ok);
+  EXPECT_FALSE(schedule_diagnostics(cdag.graph(), with_input).empty());
 }
 
 TEST(ScheduleTest, RandomIsDeterministicPerSeed) {

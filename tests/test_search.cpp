@@ -350,7 +350,7 @@ TEST(ScheduleSearchLocal, ResultIsValidTopologicalAndNeverWorse) {
   for (const std::uint64_t m : {6ull, 8ull, 16ull}) {
     const search::LocalSearchResult result = search::improve_schedule(
         graph, dfs, {.cache_size = m, .seed = 7}, out);
-    EXPECT_TRUE(schedule::validate_schedule(graph, result.schedule).ok);
+    EXPECT_TRUE(schedule::schedule_diagnostics(graph, result.schedule).empty());
     EXPECT_LE(result.io, result.initial_io);
     EXPECT_EQ(result.initial_io,
               pebble::simulate(graph, dfs, {.cache_size = m}, out).io());

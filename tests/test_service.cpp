@@ -207,73 +207,47 @@ TEST(CertificateFormat, RejectsCorruptedRecordedPayloadDigest) {
 }
 
 // ---------------------------------------------------------------------------
-// mmap reader
+// File reader (read_certificate; the suite keeps its historical name)
+
+void write_file(const std::string& path, const std::string& body) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(body.data(), static_cast<std::streamsize>(body.size()));
+}
 
 TEST(MappedCertificate, RoundTripsThroughDisk) {
-  TempDir dir("mmap");
+  TempDir dir("read");
   std::filesystem::create_directories(dir.path);
   const Certificate cert = sample_certificate(CertKind::kChain, 11);
   const std::string path = dir.path + "/round.cert";
-  {
-    std::ofstream out(path, std::ios::binary);
-    const std::string body = serialize_certificate(cert);
-    out.write(body.data(), static_cast<std::streamsize>(body.size()));
-  }
-  service::MappedOpenResult r = service::MappedCertificate::open(path);
-  ASSERT_TRUE(r.file.has_value()) << r.error;
-  EXPECT_EQ(r.file->kind(), cert.kind);
-  EXPECT_EQ(r.file->k(), cert.k);
-  EXPECT_EQ(r.file->n0(), cert.n0);
-  EXPECT_EQ(r.file->b(), cert.b);
-  EXPECT_EQ(r.file->engine_version(), cert.engine_version);
-  EXPECT_EQ(r.file->algorithm_digest(), cert.algorithm_digest);
-  EXPECT_EQ(r.file->payload_digest(), cert.payload_digest);
-  // The zero-copy span reads the payload straight out of the mapping.
-  ASSERT_EQ(r.file->words().size(), cert.words.size());
-  for (std::size_t i = 0; i < cert.words.size(); ++i) {
-    EXPECT_EQ(r.file->words()[i], cert.words[i]);
-  }
-  EXPECT_EQ(r.file->to_certificate(), cert);
+  write_file(path, serialize_certificate(cert));
+  const service::DecodeResult r = service::read_certificate(path);
+  ASSERT_TRUE(r.certificate.has_value()) << r.error;
+  EXPECT_TRUE(r.error.empty());
+  EXPECT_EQ(*r.certificate, cert);
 }
 
 TEST(MappedCertificate, MissingEmptyTruncatedAndCorruptedFilesAreErrors) {
-  TempDir dir("mmapbad");
+  TempDir dir("readbad");
   std::filesystem::create_directories(dir.path);
-  {
-    service::MappedOpenResult r =
-        service::MappedCertificate::open(dir.path + "/nope.cert");
-    EXPECT_FALSE(r.file.has_value());
-    EXPECT_FALSE(r.error.empty());
-  }
-  {
-    const std::string path = dir.path + "/empty.cert";
-    std::ofstream(path, std::ios::binary).flush();
-    service::MappedOpenResult r = service::MappedCertificate::open(path);
-    EXPECT_FALSE(r.file.has_value());
-    EXPECT_NE(r.error.find("empty file"), std::string::npos) << r.error;
-  }
+  const auto expect_rejected = [](const std::string& path,
+                                  const std::string& needle) {
+    const service::DecodeResult r = service::read_certificate(path);
+    EXPECT_FALSE(r.certificate.has_value()) << path;
+    EXPECT_EQ(r.error.rfind(path + ": ", 0), 0u) << r.error;
+    EXPECT_NE(r.error.find(needle), std::string::npos) << r.error;
+  };
+  expect_rejected(dir.path + "/nope.cert", "cannot open");
+  write_file(dir.path + "/empty.cert", "");
+  expect_rejected(dir.path + "/empty.cert",
+                  "empty file: truncated certificate");
   const std::string body =
       serialize_certificate(sample_certificate(CertKind::kFull, 12));
-  {
-    const std::string path = dir.path + "/trunc.cert";
-    std::ofstream out(path, std::ios::binary);
-    out.write(body.data(), static_cast<std::streamsize>(body.size() / 2));
-    out.close();
-    service::MappedOpenResult r = service::MappedCertificate::open(path);
-    EXPECT_FALSE(r.file.has_value());
-    EXPECT_FALSE(r.error.empty());
-  }
-  {
-    std::string bad = body;
-    bad[80] = static_cast<char>(bad[80] ^ 0x04);
-    const std::string path = dir.path + "/corrupt.cert";
-    std::ofstream out(path, std::ios::binary);
-    out.write(bad.data(), static_cast<std::streamsize>(bad.size()));
-    out.close();
-    service::MappedOpenResult r = service::MappedCertificate::open(path);
-    EXPECT_FALSE(r.file.has_value());
-    EXPECT_NE(r.error.find("mismatch"), std::string::npos) << r.error;
-  }
+  write_file(dir.path + "/trunc.cert", body.substr(0, body.size() / 2));
+  expect_rejected(dir.path + "/trunc.cert", "truncated");
+  std::string bad = body;
+  bad[80] = static_cast<char>(bad[80] ^ 0x04);
+  write_file(dir.path + "/corrupt.cert", bad);
+  expect_rejected(dir.path + "/corrupt.cert", "mismatch");
 }
 
 // ---------------------------------------------------------------------------
@@ -304,7 +278,7 @@ TEST(CertificateStore, PersistsAcrossReopen) {
   service::CertificateStore reopened(dir.path);
   EXPECT_EQ(reopened.indexed_count(), 0u);  // index is per-instance
   const std::optional<Certificate> hit = reopened.lookup(key);
-  ASSERT_TRUE(hit.has_value()) << "expected a disk hit via mmap";
+  ASSERT_TRUE(hit.has_value()) << "expected a disk hit";
   EXPECT_EQ(*hit, cert);
   EXPECT_EQ(reopened.indexed_count(), 1u);
 }
@@ -334,6 +308,59 @@ TEST(CertificateStore, CorruptedFileIsAMissAndGetsRewritten) {
   const std::optional<Certificate> hit = third.lookup(key);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(*hit, cert);
+}
+
+TEST(CertificateStore, MisnamedAndDamagedFilesAreMissesTheServiceRewrites) {
+  TempDir dir("storerewrite");
+  service::ServiceConfig config;
+  config.store_dir = dir.path;
+  const service::Request request{"strassen", 3, CertKind::kChain};
+  Certificate good;
+  std::string other_body;  // a valid file of another key
+  {
+    service::CertificateService svc(config);
+    const service::Response resp = svc.serve(request);
+    const service::Response other =
+        svc.serve({"strassen", 2, CertKind::kChain});
+    ASSERT_TRUE(resp.ok && other.ok) << resp.error << other.error;
+    good = resp.certificate;
+    other_body = serialize_certificate(other.certificate);
+  }
+  const service::StoreKey key = service::key_of(good);
+  const std::string path = dir.path + "/" + service::store_file_name(key);
+  const std::string body = serialize_certificate(good);
+  std::string corrupted = body;
+  corrupted[70] = static_cast<char>(corrupted[70] ^ 0x08);
+  const std::vector<std::pair<std::string, std::optional<std::string>>>
+      cases = {{"missing", std::nullopt},
+               {"empty", ""},
+               {"truncated", body.substr(0, body.size() - 3)},
+               {"corrupted", corrupted},
+               {"misnamed", other_body}};
+  for (const auto& [name, contents] : cases) {
+    SCOPED_TRACE(name);
+    std::filesystem::remove(path);
+    if (contents.has_value()) write_file(path, *contents);
+    if (name == "misnamed") {
+      // The file is a valid certificate — of another key.
+      const service::DecodeResult r = service::read_certificate(path);
+      ASSERT_TRUE(r.certificate.has_value()) << r.error;
+      EXPECT_NE(service::key_of(*r.certificate), key);
+    }
+    service::CertificateStore store(dir.path);
+    EXPECT_FALSE(store.lookup(key).has_value());
+
+    service::CertificateService svc(config);
+    const service::Response resp = svc.serve(request);
+    ASSERT_TRUE(resp.ok) << resp.error;
+    EXPECT_FALSE(resp.from_cache);
+    EXPECT_EQ(svc.metrics().computed, 1u);
+    EXPECT_EQ(resp.certificate, good);
+    const service::DecodeResult rewritten = service::read_certificate(path);
+    ASSERT_TRUE(rewritten.certificate.has_value()) << rewritten.error;
+    EXPECT_EQ(service::key_of(*rewritten.certificate), key);
+    EXPECT_EQ(*rewritten.certificate, good);
+  }
 }
 
 TEST(CertificateStore, FileNameEncodesTheKey) {
