@@ -19,14 +19,13 @@
 // The emitted BENCH_distributed_scaling.json is the pr_bench_gate
 // baseline: counts exact, timings soft.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "pathrouting/parallel/scaling.hpp"
+#include "pathrouting/support/cli.hpp"
 #include "pathrouting/support/table.hpp"
 
 namespace {
@@ -55,18 +54,10 @@ std::string fmt_memory(const parallel::ScalingPoint& point) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  double budget_seconds = 20.0;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--budget-seconds=", 17) == 0) {
-      budget_seconds = std::atof(arg + 17);
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_distributed_scaling "
-                   "[--budget-seconds=S]\n");
-      return 2;
-    }
-  }
+  support::Cli cli(argc, argv);
+  const double budget_seconds = cli.flag_double(
+      "budget-seconds", 20.0, "wall-clock budget of the whole sweep");
+  cli.finish("E19: BDHLS strong scaling to 10^6 simulated processors.");
 
   const bench::Stopwatch total;
   bench::BenchJson json("distributed_scaling");

@@ -47,10 +47,6 @@ using support::fmt_fixed;
 
 constexpr std::uint64_t kRssLimitBytes = 2ull << 30;  // 2 GiB
 
-// This file's records tag the closed-form engine by the view it runs
-// on; routing::routing_spec_from_record reads the tag as kMemo.
-constexpr const char* kEngineTag = "implicit";
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -96,13 +92,11 @@ int main(int argc, char** argv) {
       const routing::ChainPoint chain = routing::run_chain_point(spec);
       obs::BenchRecord& chain_rec = json.add_record();
       routing::fill_chain_record(chain, chain_rec);
-      chain_rec.set("engine", kEngineTag);
       std::optional<routing::DecodePoint> claim1;
       if (decode) {
         claim1 = routing::run_decode_point(spec);
         obs::BenchRecord& decode_rec = json.add_record();
         routing::fill_decode_record(*claim1, decode_rec);
-        decode_rec.set("engine", kEngineTag);
       }
       const bool claim1_ok = !claim1 || claim1->stats.ok();
       if (!chain.ok() || !claim1_ok) {
@@ -132,7 +126,7 @@ int main(int argc, char** argv) {
               peak_rss >> 20, kRssLimitBytes >> 20);
   json.add_record()
       .set("experiment", "implicit_phase")
-      .set("engine", kEngineTag)
+      .set("engine", routing::engine_name(routing::EngineKind::kMemo))
       .set("kmax", kmax)
       .set("rss_limit_bytes", kRssLimitBytes)
       .set("ok", peak_rss < kRssLimitBytes)

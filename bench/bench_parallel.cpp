@@ -9,16 +9,17 @@
 // exponent and loses to CAPS as P grows.
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
+#include <string>
 
 #include "bench_common.hpp"
 #include "pathrouting/bilinear/catalog.hpp"
 #include "pathrouting/bounds/formulas.hpp"
 #include "pathrouting/parallel/caps.hpp"
 #include "pathrouting/parallel/summa.hpp"
+#include "pathrouting/support/cli.hpp"
 #include "pathrouting/support/table.hpp"
 
 namespace {
@@ -32,16 +33,15 @@ int main(int argc, char** argv) {
   // E8c runs real data through the machine, so the per-processor
   // memory is a sweep parameter, not a constant: shrink it to probe
   // the within-memory flag, grow it for larger grids.
-  std::uint64_t summa_memory = 1ull << 30;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--summa-memory=", 15) == 0) {
-      summa_memory = std::strtoull(arg + 15, nullptr, 10);
-    } else {
-      std::fprintf(stderr, "usage: bench_parallel [--summa-memory=WORDS]\n");
-      return 2;
-    }
+  support::Cli cli(argc, argv);
+  const std::int64_t summa_memory_flag = cli.flag_int(
+      "summa-memory", std::int64_t{1} << 30, "SUMMA per-processor words");
+  cli.finish("E8: Theorem 1 (parallel) — bandwidth cost vs P and M.");
+  if (summa_memory_flag < 1) {
+    cli.fail("--summa-memory must be >= 1, got " +
+             std::to_string(summa_memory_flag));
   }
+  const auto summa_memory = static_cast<std::uint64_t>(summa_memory_flag);
 
   bench::print_banner(
       "E8a: CAPS bandwidth vs P (Strassen, n = 2^12)",

@@ -22,8 +22,6 @@
 // Flags:
 //   --engine=both|memo|brute   which engines (default both)
 //   --kmax=N                   cap every case's k (0 = per-case table)
-//   --kmax-brute=N             cap only the brute engine's k
-//   --full-catalog             add every catalog algorithm at k <= 3
 #include <algorithm>
 #include <climits>
 #include <cstdint>
@@ -34,9 +32,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "pathrouting/bilinear/analysis.hpp"
 #include "pathrouting/bilinear/catalog.hpp"
-#include "pathrouting/cdag/layout.hpp"
 #include "pathrouting/obs/export.hpp"
 #include "pathrouting/routing/memo_routing.hpp"
 #include "pathrouting/routing/routing_point.hpp"
@@ -52,9 +48,7 @@ using support::fmt_fixed;
 struct Options {
   bool run_brute = true;
   bool run_memo = true;
-  int kmax = 0;        // 0 = per-case table
-  int kmax_brute = 0;  // 0 = per-case table
-  bool full_catalog = false;
+  int kmax = 0;  // 0 = per-case table
 };
 
 Options parse_options(int argc, char** argv) {
@@ -63,29 +57,20 @@ Options parse_options(int argc, char** argv) {
       "engine", "both", "which engines run: both, memo or brute");
   const std::int64_t kmax =
       cli.flag_int("kmax", 0, "cap every case's k (0 = per-case table)");
-  const std::int64_t kmax_brute = cli.flag_int(
-      "kmax-brute", 0, "cap only the brute engine's k (0 = per-case table)");
-  Options opt;
-  opt.full_catalog = cli.flag_bool(
-      "full-catalog", false, "add every catalog algorithm at k <= 3");
   cli.finish("E2-E5: the routing theorems, verified by the brute and "
              "memoized engines.");
   if (engine != "both" && engine != "memo" && engine != "brute") {
     cli.fail("unknown engine '" + engine +
              "' (valid engines: both, memo, brute)");
   }
+  Options opt;
   opt.run_brute = engine != "memo";
   opt.run_memo = engine != "brute";
-  const auto cap = [&](const char* flag, std::int64_t value) {
-    if (value < 0) {
-      cli.fail(std::string("--") + flag +
-               " must be >= 1 (or 0 for the per-case table), got " +
-               std::to_string(value));
-    }
-    return static_cast<int>(std::min<std::int64_t>(value, INT_MAX));
-  };
-  opt.kmax = cap("kmax", kmax);
-  opt.kmax_brute = cap("kmax-brute", kmax_brute);
+  if (kmax < 0) {
+    cli.fail("--kmax must be >= 1 (or 0 for the per-case table), got " +
+             std::to_string(kmax));
+  }
+  opt.kmax = static_cast<int>(std::min<std::int64_t>(kmax, INT_MAX));
   return opt;
 }
 
@@ -109,30 +94,9 @@ ActiveCase capped(const Options& opt, const Case& raw) {
     c.kmax_brute = std::min(c.kmax_brute, opt.kmax);
     c.kmax_memo = std::min(c.kmax_memo, opt.kmax);
   }
-  if (opt.kmax_brute > 0) c.kmax_brute = std::min(c.kmax_brute, opt.kmax_brute);
   if (!opt.run_brute) c.kmax_brute = 0;
   if (!opt.run_memo) c.kmax_memo = 0;
   return c;
-}
-
-/// --full-catalog: every catalog algorithm at k <= 3 (capped so the
-/// CDAG stays under ~4M vertices), appended after the headline cases.
-void add_catalog_cases(std::vector<Case>& cases, int kmax,
-                       bool decode_only) {
-  for (const std::string& name : bilinear::catalog_names()) {
-    if (std::any_of(cases.begin(), cases.end(),
-                    [&](const Case& c) { return c.name == name; })) {
-      continue;
-    }
-    const auto alg = bilinear::by_name(name);
-    if (decode_only && bilinear::decoding_components(alg) != 1) continue;
-    int k = kmax;
-    while (k > 1 &&
-           cdag::Layout(alg.n0(), alg.b(), k).num_vertices() > 4000000) {
-      --k;
-    }
-    cases.push_back({name, k, k});
-  }
 }
 
 /// A memo point against the brute point of the same (algorithm, k):
@@ -220,12 +184,11 @@ int main(int argc, char** argv) {
                         "T2 bound", "ok", "sec", "speedup"});
   bench::BenchJson json("routing_memo");
 
-  std::vector<Case> chain_cases = {{"strassen", 6, 7},
-                                   {"winograd", 6, 7},
-                                   {"laderman", 3, 4},
-                                   {"strassen_squared", 3, 3},
-                                   {"strassen_x_classical2", 3, 3}};
-  if (opt.full_catalog) add_catalog_cases(chain_cases, 3, false);
+  const std::vector<Case> chain_cases = {{"strassen", 6, 7},
+                                         {"winograd", 6, 7},
+                                         {"laderman", 3, 4},
+                                         {"strassen_squared", 3, 3},
+                                         {"strassen_x_classical2", 3, 3}};
 
   for (const Case& raw : chain_cases) {
     const ActiveCase c = capped(opt, raw);
@@ -267,9 +230,8 @@ int main(int argc, char** argv) {
   support::Table claim1({"algorithm", "k", "engine", "paths", "max hits",
                          "bound", "slack", "ok", "sec", "speedup"});
 
-  std::vector<Case> decode_cases = {
+  const std::vector<Case> decode_cases = {
       {"strassen", 5, 6}, {"winograd", 5, 6}, {"laderman", 3, 4}};
-  if (opt.full_catalog) add_catalog_cases(decode_cases, 3, true);
 
   for (const Case& raw : decode_cases) {
     const ActiveCase c = capped(opt, raw);

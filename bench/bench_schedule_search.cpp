@@ -82,8 +82,6 @@ bool certificate_clean(const search::SweepPoint& point) {
 
 int main(int argc, char** argv) {
   support::Cli cli(argc, argv);
-  const std::int64_t budget_scale = cli.flag_int(
-      "budget-scale", 1, "multiply every instance's node budget");
   cli.finish(
       "E20: branch-and-bound schedule search on catalog G_r — DFS vs "
       "searched I/O gap curves and certified-optimal instances.");
@@ -104,7 +102,7 @@ int main(int argc, char** argv) {
     spec.algorithm = inst.algorithm;
     spec.r = inst.r;
     spec.m = inst.m;
-    spec.node_budget = inst.budget * static_cast<std::uint64_t>(budget_scale);
+    spec.node_budget = inst.budget;
     // Timed as pr_bench_gate times it: the fastest of
     // obs::kGateTimingRepeats runs.
     const search::SweepPoint point = obs::fastest_of_repeats(

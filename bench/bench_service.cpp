@@ -52,7 +52,6 @@ int main(int argc, char** argv) {
   support::Cli cli(argc, argv);
   const std::int64_t num_requests =
       cli.flag_int("requests", 2048, "trace length");
-  const std::int64_t seed = cli.flag_int("seed", 20260807, "trace seed");
   cli.finish(
       "E18: certificate service — cold misses, cache-hit latency, store "
       "reload, and client-thread throughput scaling.");
@@ -97,7 +96,6 @@ int main(int argc, char** argv) {
   // Phases 2-4 share one store directory: phase 2 populates it, phase
   // 3 reopens it cold (file path), phase 4 hammers the warm index.
   service::TraceSpec spec;
-  spec.seed = static_cast<std::uint64_t>(seed);
   spec.num_requests = static_cast<std::uint64_t>(num_requests);
   const std::vector<service::Request> trace = service::zipf_trace(spec);
 
@@ -129,9 +127,12 @@ int main(int argc, char** argv) {
 
   {
     service::CertificateService svc(config);
-    const service::ReplayResult r = service::replay_trace(svc, trace, 1);
-    service::fill_replay_record({{"service_trace", spec, 1}, r},
-                                json.add_record());
+    // Each point is filled in two steps: replaying inside its aggregate
+    // initializer trips gcc 12's false -Werror=maybe-uninitialized at -O3.
+    service::ReplayPoint point{{"service_trace", spec, 1}, {}};
+    point.result = service::replay_trace(svc, trace, 1);
+    const service::ReplayResult& r = point.result;
+    service::fill_replay_record(point, json.add_record());
     add_row("trace (cold store)", 1, r);
     check_clean("service_trace", r);
     const double p99 = service::percentile_us(r.hit_us, 99);
@@ -147,9 +148,10 @@ int main(int argc, char** argv) {
     // request is a hit, first touch per key goes through a file read +
     // full validation, repeats are index probes.
     service::CertificateService svc(config);
-    const service::ReplayResult warm = service::replay_trace(svc, trace, 1);
-    service::fill_replay_record({{"service_warm", spec, 1}, warm},
-                                json.add_record());
+    service::ReplayPoint point{{"service_warm", spec, 1}, {}};
+    point.result = service::replay_trace(svc, trace, 1);
+    const service::ReplayResult& warm = point.result;
+    service::fill_replay_record(point, json.add_record());
     add_row("warm (store reload)", 1, warm);
     check_clean("service_warm", warm);
     if (warm.computed != 0) {
@@ -162,10 +164,10 @@ int main(int argc, char** argv) {
 
     // Throughput scaling on the now-warm index.
     for (const int clients : {1, 2, 4, 8}) {
-      const service::ReplayResult r =
-          service::replay_trace(svc, trace, clients);
-      service::fill_replay_record({{"service_throughput", spec, clients}, r},
-                                  json.add_record());
+      service::ReplayPoint point{{"service_throughput", spec, clients}, {}};
+      point.result = service::replay_trace(svc, trace, clients);
+      const service::ReplayResult& r = point.result;
+      service::fill_replay_record(point, json.add_record());
       add_row("throughput (warm)", clients, r);
       check_clean("service_throughput", r);
     }

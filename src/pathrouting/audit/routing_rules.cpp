@@ -37,8 +37,15 @@ constexpr std::string_view kMemoTotals = "routing.memo-totals";
 constexpr std::string_view kCopyBlocks = "fact1.copy-blocks";
 constexpr std::string_view kCopyBijection = "fact1.copy-bijection";
 
+// Appends into one string: gcc 12's -O3 inlining of a chained
+// `"(" + std::to_string(u) + ...` raises a false -Werror=restrict.
 std::string pair_str(std::uint64_t u, std::uint64_t v) {
-  return "(" + std::to_string(u) + " -> " + std::to_string(v) + ")";
+  std::string out = "(";
+  out += std::to_string(u);
+  out += " -> ";
+  out += std::to_string(v);
+  out += ')';
+  return out;
 }
 
 /// What every path of a stream must satisfy besides its declared

@@ -108,8 +108,7 @@ RoutingSpec routing_spec_from_record(obs::RecordReader& in) {
       in.one_of("experiment", {"chain_routing", "decode_routing"});
   spec.algorithm = in.one_of("algorithm", bilinear::catalog_names());
   spec.k = static_cast<int>(in.integer("k", 1, INT_MAX));
-  const std::string engine =
-      in.one_of("engine", {"brute", "memo", "implicit"});
+  const std::string engine = in.one_of("engine", {"brute", "memo"});
   spec.engine = engine == engine_name(EngineKind::kBrute) ? EngineKind::kBrute
                                                           : EngineKind::kMemo;
   if (in.ok() && experiment == "decode_routing" &&

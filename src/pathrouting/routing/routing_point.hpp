@@ -13,8 +13,8 @@
 // oracle) and keeps its per-vertex hit arrays in the point. The memo
 // engine evaluates the closed forms by one digit-state DP on
 // cdag::ImplicitCdag and never builds G_k; its records are tagged
-// "memo" (BENCH_implicit_cdag.json tags the same engine "implicit",
-// and both names read back as EngineKind::kMemo). `seconds` times the
+// "memo", in BENCH_routing_memo.json and BENCH_implicit_cdag.json
+// alike. `seconds` times the
 // engine alone: the CDAG build and the engine's construction are
 // outside the clock, the implicit view's construction inside it.
 #pragma once

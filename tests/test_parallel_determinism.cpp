@@ -81,7 +81,14 @@ TEST(ParallelPrimitivesTest, ReduceFoldsInChunkOrder) {
     return parallel::parallel_reduce<std::string>(
         0, 50, 4, std::string(),
         [](std::uint64_t lo, std::uint64_t hi) {
-          return "[" + std::to_string(lo) + "," + std::to_string(hi) + ")";
+          // One appended string: a chained "[" + ... trips gcc 12's
+          // false -Werror=restrict at -O3.
+          std::string chunk = "[";
+          chunk += std::to_string(lo);
+          chunk += ',';
+          chunk += std::to_string(hi);
+          chunk += ')';
+          return chunk;
         },
         [](std::string& acc, const std::string& chunk) { acc += chunk; });
   };

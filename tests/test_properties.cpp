@@ -135,7 +135,10 @@ TEST_P(QuotaSweepTest, Equation2HoldsForArbitraryQuotas) {
 INSTANTIATE_TEST_SUITE_P(Quotas, QuotaSweepTest,
                          ::testing::Values(8, 24, 36, 72, 100, 128),
                          [](const auto& info) {
-                           return "q" + std::to_string(info.param);
+                           // Not "q" + ...: gcc 12 -Werror=restrict.
+                           std::string name = "q";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 // ---------------------------------------------------------------------

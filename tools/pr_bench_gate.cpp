@@ -4,13 +4,16 @@
 // matches (one row per gated (experiment, engine)) through the
 // observability layer, and fails when the fresh run regresses:
 //
-//   * every field a row does not declare soft must match the baseline
-//     EXACTLY — counts, bounds, digests and verdicts are functions of
-//     the spec alone (the determinism contract), so any drift is a
-//     correctness bug, not noise;
-//   * soft fields are never compared: each row's own (latencies,
-//     speedups, derived doubles that go through libm) plus the
-//     standard per-record "threads" and "commit";
+//   * every field that is not soft must match the baseline EXACTLY —
+//     counts, bounds, digests and verdicts are functions of the spec
+//     alone (the determinism contract), so any drift is a correctness
+//     bug, not noise;
+//   * soft fields are never compared. The baseline's value kind says
+//     which they are: every double (latencies, speedups, derived
+//     bounds that go through libm) is soft, and so are the per-run
+//     "threads", "commit", the measured "max_rss_bytes" and the
+//     "counts_bit_identical" cross-check only bench_routing
+//     --engine=both writes;
 //   * "seconds" may grow up to --tolerance x the baseline (floored at
 //     --min-seconds, under which timing is pure jitter). Each row is
 //     timed as the fastest of obs::kGateTimingRepeats runs, as the
@@ -20,7 +23,9 @@
 // lives beside the code it measures and is the one the bench wrote the
 // baseline with: spec_from_record rebuilds the spec from the committed
 // record, run_*_point re-runs it, fill_*_record writes the fresh
-// record. Adding a gated experiment takes its triple plus one row.
+// record. Adding a gated experiment takes its triple plus one row; the
+// schema its fill function writes is the only place its fields are
+// named.
 // Records no row matches (brute engines, the throughput sweep) are not
 // re-run; routing records above --kmax are skipped. Duplicate records
 // (a baseline may concatenate a threads=1 and a threads=8 run) must
@@ -108,55 +113,47 @@ struct Row {
   const char* experiment;
   const char* engine;
   Prepare prepare;
-  std::vector<std::string> soft;  // never compared (see header)
-  const char* pessimize;          // --self-test-pessimize bumps it
-  bool kmax_applies = false;      // skip records with k > --kmax
+  const char* pessimize;      // --self-test-pessimize bumps it
+  bool kmax_applies = false;  // skip records with k > --kmax
 };
-
-const std::vector<std::string> kRoutingSoft = {
-    "speedup", "counts_bit_identical", "max_rss_bytes"};
-const std::vector<std::string> kReplaySoft = {
-    "hit_p50_us", "hit_p99_us", "miss_p50_us",
-    "miss_p99_us", "rps",        "max_rss_bytes"};
 
 const Row kTable[] = {
     {"chain_routing", "memo",
      triple<routing::routing_spec_from_record, routing::run_chain_point,
             routing::fill_chain_record>,
-     kRoutingSoft, "l3_max_hits", true},
+     "l3_max_hits", true},
     {"decode_routing", "memo",
      triple<routing::routing_spec_from_record, routing::run_decode_point,
             routing::fill_decode_record>,
-     kRoutingSoft, "max_hits", true},
+     "max_hits", true},
     {"service_cold_miss", "service",
      triple<service::cold_miss_spec_from_record, service::run_cold_miss_point,
             service::fill_cold_miss_record>,
-     {"cold_us", "max_rss_bytes"}, "chains"},
+     "chains"},
     {"service_trace", "service",
      triple<service::replay_spec_from_record, service::run_replay_point,
             service::fill_replay_record>,
-     kReplaySoft, "cache_hits"},
+     "cache_hits"},
     {"service_warm", "service",
      triple<service::replay_spec_from_record, service::run_replay_point,
             service::fill_replay_record>,
-     kReplaySoft, "cache_hits"},
+     "cache_hits"},
     {"distributed_scaling", "machine",
      triple<parallel::scaling_spec_from_record, parallel::run_scaling_point,
             parallel::fill_scaling_record>,
-     {"omega0", "lb_mem_dependent", "lb_mem_independent", "lb_combined",
-      "model_pmax", "model_bandwidth", "ratio_vs_lb"},
      "bandwidth_cost"},
     {"schedule_search", "search",
      triple<search::search_spec_from_record, search::run_search_point,
             search::fill_search_record>,
-     {"ratio_vs_lb"}, "searched_io"},
-    {"schedule_search_summary", "search", search_rollup, {},
-     "certified_count"},
+     "searched_io"},
+    {"schedule_search_summary", "search", search_rollup, "certified_count"},
 };
 
-bool soft(const Row& row, const std::string& key) {
-  return key == "seconds" || key == "threads" || key == "commit" ||
-         std::find(row.soft.begin(), row.soft.end(), key) != row.soft.end();
+/// Never compared (see header); `base` is the baseline's value.
+bool soft(const std::string& key, const obs::BenchValue& base) {
+  return base.kind == obs::BenchValue::Kind::kDouble || key == "seconds" ||
+         key == "threads" || key == "commit" || key == "max_rss_bytes" ||
+         key == "counts_bit_identical";
 }
 
 struct Options {
@@ -259,7 +256,7 @@ int main(int argc, char** argv) {
     Workload& wl = workloads[it->second];
     wl.base_seconds = std::min(wl.base_seconds, seconds_of(rec));
     for (const auto& [fkey, fval] : wl.reference->fields()) {
-      if (soft(*row, fkey)) continue;
+      if (soft(fkey, fval)) continue;
       const obs::BenchValue* other = rec.find(fkey);
       if (other == nullptr || other->json() != fval.json()) {
         std::fprintf(stderr,
@@ -350,9 +347,9 @@ int main(int argc, char** argv) {
       }
     }
 
-    // Exact comparison of every field the row does not declare soft.
+    // Exact comparison of every field that is not soft.
     for (const auto& [fkey, fval] : base.fields()) {
-      if (soft(row, fkey)) continue;
+      if (soft(fkey, fval)) continue;
       const obs::BenchValue* fresh_v = fresh.find(fkey);
       if (fresh_v == nullptr || fresh_v->json() != fval.json()) {
         const std::string got =
