@@ -55,6 +55,9 @@ int main(int argc, char** argv) {
   cli.finish(
       "E18: certificate service — cold misses, cache-hit latency, store "
       "reload, and client-thread throughput scaling.");
+  if (num_requests < 1) {
+    cli.fail("--requests must be >= 1, got " + std::to_string(num_requests));
+  }
 
   bench::print_banner(
       "E18: certificate service — content-addressed serving",

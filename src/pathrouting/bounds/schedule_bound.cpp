@@ -1,126 +1,122 @@
 #include "pathrouting/bounds/schedule_bound.hpp"
 
-#include <vector>
+#include <algorithm>
 
-#include "pathrouting/schedule/use_lists.hpp"
 #include "pathrouting/support/check.hpp"
 
 namespace pathrouting::bounds {
 
 namespace {
 
-/// Next-use sentinel: no further consumption inside the prefix. As a
-/// u32 it sorts above every real step index, so the furthest-next-use
-/// comparison needs no special case.
-constexpr std::uint32_t kDead = UINT32_MAX;
+/// last_access_ of a value no step has touched yet.
+constexpr std::uint32_t kNever = UINT32_MAX;
+
+/// Packs a reuse interval whose interior steps have `rooms` left, if
+/// each of them still has a free slot.
+bool pack(std::span<std::uint32_t> rooms) {
+  if (std::find(rooms.begin(), rooms.end(), 0u) != rooms.end()) return false;
+  for (std::uint32_t& room : rooms) --room;
+  return true;
+}
 
 }  // namespace
+
+PrefixBound::PrefixBound(const Graph& graph, std::uint64_t cache_size,
+                         const std::function<bool(VertexId)>& is_output)
+    : graph_(graph), m_(cache_size) {
+  PR_REQUIRE(m_ >= 2);
+  const VertexId n = graph.num_vertices();
+  steps_.reserve(n);
+  room_.resize(n);
+  last_access_.assign(n, kNever);
+  pending_.resize(n);
+  undo_.reserve(graph.num_edges());
+  for (VertexId v = 0; v < n; ++v) {
+    pending_[v] = graph.out_degree(v);
+    if (graph.in_degree(v) == 0) {
+      if (pending_[v] > 0) ++untouched_inputs_;
+    } else if (is_output(v)) {
+      ++output_writes_;
+    }
+  }
+}
+
+void PrefixBound::push(VertexId v) {
+  const auto preds = graph_.in(v);
+  PR_REQUIRE_MSG(!preds.empty(), "inputs are not scheduled");
+  PR_REQUIRE_MSG(preds.size() + 1 <= m_, "cache too small for this vertex");
+  const auto s = static_cast<std::uint32_t>(steps_.size());
+  std::uint32_t operands = 0;  // distinct ones
+  for (const VertexId p : preds) {
+    const std::uint32_t prev = last_access_[p];
+    bool hit = prev == s;  // p repeats an operand of this step
+    if (!hit) {
+      ++operands;
+      hit = prev != kNever &&
+            pack(std::span(room_).subspan(prev + 1, s - prev - 1));
+    }
+    if (!hit) ++fetches_;
+    undo_.push_back({prev, hit});
+    // v consumes p, so p was needed before this access: live if
+    // touched, else an untouched input (a valid prefix computed every
+    // non-input operand already).
+    if (prev != kNever) {
+      --live_;
+    } else {
+      --untouched_inputs_;
+    }
+    if (--pending_[p] > 0) ++live_;
+    last_access_[p] = s;
+  }
+  // At most n values exist, so capping M at n changes no decision and
+  // keeps the room in 32 bits.
+  const std::uint64_t slots = std::min<std::uint64_t>(m_, room_.size());
+  room_[s] = static_cast<std::uint32_t>(slots - 1 - operands);
+  last_access_[v] = s;
+  if (pending_[v] > 0) ++live_;
+  steps_.push_back(v);
+}
+
+void PrefixBound::pop() {
+  PR_REQUIRE_MSG(!steps_.empty(), "pop on an empty prefix");
+  const VertexId v = steps_.back();
+  steps_.pop_back();
+  const auto s = static_cast<std::uint32_t>(steps_.size());
+  if (pending_[v] > 0) --live_;
+  last_access_[v] = kNever;
+  const auto preds = graph_.in(v);
+  for (auto it = preds.rbegin(); it != preds.rend(); ++it) {
+    const VertexId p = *it;
+    const Undo undo = undo_.back();
+    undo_.pop_back();
+    if (pending_[p]++ > 0) --live_;
+    last_access_[p] = undo.prev_access;
+    if (undo.prev_access != kNever) {
+      ++live_;
+    } else {
+      ++untouched_inputs_;
+    }
+    if (!undo.hit) {
+      --fetches_;
+    } else {
+      for (std::uint32_t j = undo.prev_access + 1; j < s; ++j) ++room_[j];
+    }
+  }
+}
+
+PartialBound PrefixBound::total() const {
+  return {.prefix_reads = fetches_,
+          .suffix_reads = untouched_inputs_ + (live_ > m_ ? live_ - m_ : 0),
+          .output_writes = output_writes_};
+}
 
 PartialBound partial_schedule_lower_bound(
     const Graph& graph, std::span<const VertexId> prefix,
     std::uint64_t cache_size,
     const std::function<bool(VertexId)>& is_output) {
-  const VertexId n = graph.num_vertices();
-  const std::uint64_t m = cache_size;
-  PR_REQUIRE(m >= 2);
-
-  // Consumption steps of each vertex within the prefix.
-  const schedule::UseLists uses = schedule::build_use_lists(graph, prefix);
-  std::vector<std::uint32_t> cursor(uses.off.begin(), uses.off.end() - 1);
-
-  PartialBound bound;
-
-  // ---- MIN-fetches over the prefix access string ------------------
-  // Demand fetching + furthest-next-use eviction is the offline
-  // minimum fetch count on a fixed access string; the victim scan is
-  // linear (prefixes are short) and breaks ties to the lowest id, the
-  // simulator's documented rule.
-  std::vector<std::uint8_t> in_cache(n, 0), scheduled(n, 0), touched(n, 0);
-  std::vector<std::uint32_t> next_use(n, kDead), pin(n, 0);
-  std::vector<VertexId> cached;
-
-  const auto advance_next_use = [&](VertexId v, std::uint32_t s) {
-    std::uint32_t& ptr = cursor[v];
-    while (ptr < uses.off[v + 1] && uses.steps[ptr] <= s) ++ptr;
-    return ptr < uses.off[v + 1] ? uses.steps[ptr] : kDead;
-  };
-  const auto evict_one = [&](std::uint32_t stamp) {
-    std::size_t best = cached.size();
-    for (std::size_t i = 0; i < cached.size(); ++i) {
-      const VertexId u = cached[i];
-      if (pin[u] == stamp) continue;
-      if (best == cached.size()) {
-        best = i;
-        continue;
-      }
-      const VertexId w = cached[best];
-      if (next_use[u] > next_use[w] ||
-          (next_use[u] == next_use[w] && u < w)) {
-        best = i;
-      }
-    }
-    PR_ASSERT_MSG(best < cached.size(), "no evictable entry in MIN replay");
-    in_cache[cached[best]] = 0;
-    cached[best] = cached.back();
-    cached.pop_back();
-  };
-  const auto insert = [&](VertexId v) {
-    in_cache[v] = 1;
-    cached.push_back(v);
-  };
-
-  for (std::uint32_t s = 0; s < prefix.size(); ++s) {
-    const VertexId v = prefix[s];
-    const auto preds = graph.in(v);
-    PR_REQUIRE_MSG(!preds.empty(), "inputs are not scheduled");
-    PR_REQUIRE_MSG(preds.size() + 1 <= m, "cache too small for this vertex");
-    const std::uint32_t stamp = s + 1;
-    for (const VertexId p : preds) pin[p] = stamp;
-    for (const VertexId p : preds) {
-      touched[p] = 1;
-      if (!in_cache[p]) {
-        while (cached.size() >= m) evict_one(stamp);
-        ++bound.prefix_reads;
-        insert(p);
-      }
-      next_use[p] = advance_next_use(p, s);
-    }
-    pin[v] = stamp;
-    while (cached.size() >= m) evict_one(stamp);
-    insert(v);
-    scheduled[v] = 1;
-    touched[v] = 1;
-    next_use[v] = advance_next_use(v, s);
-  }
-
-  // ---- compulsory suffix reads ------------------------------------
-  // A value is needed when an unscheduled non-input vertex consumes
-  // it. Needed values that are themselves unscheduled non-inputs are
-  // computed in the suffix (no read); needed untouched inputs cost a
-  // compulsory read; needed touched values (inputs staged during the
-  // prefix or vertices the prefix computed) can survive the boundary
-  // only in cache, which holds at most M of them.
-  std::vector<std::uint8_t> needed(n, 0);
-  for (VertexId v = 0; v < n; ++v) {
-    if (graph.in_degree(v) == 0 || scheduled[v]) continue;
-    for (const VertexId p : graph.in(v)) needed[p] = 1;
-  }
-  std::uint64_t untouched_inputs = 0, live = 0;
-  for (VertexId v = 0; v < n; ++v) {
-    if (!needed[v]) continue;
-    if (touched[v]) {
-      ++live;
-    } else if (graph.in_degree(v) == 0) {
-      ++untouched_inputs;
-    }
-  }
-  bound.suffix_reads = untouched_inputs + (live > m ? live - m : 0);
-
-  // ---- output writes ----------------------------------------------
-  for (VertexId v = 0; v < n; ++v) {
-    if (graph.in_degree(v) > 0 && is_output(v)) ++bound.output_writes;
-  }
-  return bound;
+  PrefixBound bound(graph, cache_size, is_output);
+  for (const VertexId v : prefix) bound.push(v);
+  return bound.total();
 }
 
 }  // namespace pathrouting::bounds

@@ -36,11 +36,28 @@
 // schedule-independent closed form (bounds::theorem1_io_lower_bound,
 // the Section 6 segment inequality), which is also admissible for
 // every topological order of G_r.
+//
+// MIN as interval packing (OPTgen, Jain & Lin, ISCA 2016). Step s of P
+// computes v_s: its distinct operands and v_s itself must all be
+// cached at once, which leaves room for M - |in(v_s)| - 1 other
+// values. A reuse interval runs from a value's previous access (an
+// operand use, or its birth as a result) to its next operand use; the
+// use is a hit exactly when the value stays cached at every step
+// strictly inside the interval. An input's first use has no interval
+// and is a compulsory fetch. So MIN's fetch count is the number of
+// operand accesses minus the largest set of reuse intervals that fits
+// under the per-step room. Packing greedily in right-endpoint order is
+// optimal, and every interval step s creates ends at s: appending a
+// step never revises an earlier decision, and removing the last step
+// undoes exactly its own decisions. PrefixBound keeps the room of each
+// step and an undo stack, so push and pop cost O(in-degree + length of
+// the operands' reuse intervals) and allocate nothing.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <vector>
 
 #include "pathrouting/cdag/graph.hpp"
 
@@ -60,12 +77,51 @@ struct PartialBound {
   [[nodiscard]] std::uint64_t total() const {
     return prefix_reads + suffix_reads + output_writes;
   }
+  friend bool operator==(const PartialBound&, const PartialBound&) = default;
 };
 
-/// The admissible bound above. `prefix` must be a valid topological
-/// prefix over non-input vertices (no vertex twice, operands scheduled
-/// or inputs); `cache_size` must admit every prefix step
-/// (in-degree + 1 <= M). An empty prefix yields the root bound.
+/// The admissible bound above, kept up to date while a prefix grows
+/// and shrinks at its end. Pushed vertices must form a valid
+/// topological prefix over non-input vertices (no vertex twice,
+/// operands scheduled or inputs), and `cache_size` must admit every
+/// step (in-degree + 1 <= M). The graph must outlive the bound.
+class PrefixBound {
+ public:
+  PrefixBound(const Graph& graph, std::uint64_t cache_size,
+              const std::function<bool(VertexId)>& is_output);
+
+  /// Appends v as the next step of the prefix.
+  void push(VertexId v);
+  /// Removes the last step.
+  void pop();
+  /// The bound for the current prefix (the root bound when empty).
+  [[nodiscard]] PartialBound total() const;
+
+ private:
+  struct Undo {
+    std::uint32_t prev_access;  // the operand's access before this use
+    bool hit;                   // its reuse interval was packed
+  };
+
+  const Graph& graph_;
+  std::uint64_t m_;
+  std::vector<VertexId> steps_;
+  /// Per step: cache slots still free for values kept across it.
+  std::vector<std::uint32_t> room_;
+  /// Per vertex: step of its latest access, kNever while untouched.
+  std::vector<std::uint32_t> last_access_;
+  /// Per vertex: in-edges from it into unscheduled vertices.
+  std::vector<std::uint32_t> pending_;
+  /// One entry per operand access, in push order.
+  std::vector<Undo> undo_;
+  std::uint64_t fetches_ = 0;
+  std::uint64_t live_ = 0;
+  std::uint64_t untouched_inputs_ = 0;
+  std::uint64_t output_writes_ = 0;
+};
+
+/// The bound for a whole prefix: a PrefixBound with `prefix` pushed.
+/// An empty prefix yields the root bound.
 PartialBound partial_schedule_lower_bound(
     const Graph& graph, std::span<const VertexId> prefix,
     std::uint64_t cache_size,

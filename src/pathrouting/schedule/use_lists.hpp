@@ -1,6 +1,5 @@
-// Where a schedule consumes each value: the next-use oracle shared by
-// the pebble simulator's Belady policy and the partial-schedule MIN
-// replay of the schedule search's lower bound.
+// Where a schedule consumes each value: the next-use oracle of the
+// pebble simulator's Belady policy.
 #pragma once
 
 #include <cstdint>

@@ -26,13 +26,17 @@ struct TreeWalk {
   std::vector<VertexId> prefix;
   std::vector<std::uint32_t> missing_preds;  // unscheduled non-input preds
   std::vector<std::uint8_t> ready;
+  bounds::PrefixBound bound;  // of `prefix`
 
   SearchResult result;
   bool stop = false;  // optimum proven or budget exhausted
 
   TreeWalk(const Graph& g, const SearchOptions& opt,
            const std::function<bool(VertexId)>& out)
-      : graph(g), options(opt), is_output(out) {
+      : graph(g),
+        options(opt),
+        is_output(out),
+        bound(g, opt.cache_size, out) {
     const VertexId n = graph.num_vertices();
     missing_preds.assign(n, 0);
     ready.assign(n, 0);
@@ -62,6 +66,7 @@ struct TreeWalk {
 
   void push(VertexId v) {
     prefix.push_back(v);
+    bound.push(v);
     ready[v] = 0;
     for (const VertexId c : graph.out(v)) {
       if (--missing_preds[c] == 0) ready[c] = 1;
@@ -70,6 +75,7 @@ struct TreeWalk {
 
   void pop(VertexId v) {
     prefix.pop_back();
+    bound.pop();
     for (const VertexId c : graph.out(v)) {
       if (missing_preds[c]++ == 0) ready[c] = 0;
     }
@@ -85,12 +91,10 @@ struct TreeWalk {
     static obs::Counter pruned("search.nodes_pruned");
     static obs::Counter expanded("search.nodes_expanded");
     if (result.best_io != kInfinity) {
-      const bounds::PartialBound pb = bounds::partial_schedule_lower_bound(
-          graph, prefix, options.cache_size, is_output);
-      const std::uint64_t bound =
-          std::max(pb.total(), options.extra_lower_bound) +
+      const std::uint64_t lower =
+          std::max(bound.total().total(), options.extra_lower_bound) +
           options.debug_bound_inflation;
-      if (bound >= result.best_io) {
+      if (lower >= result.best_io) {
         pruned.add();
         ++result.nodes_pruned;
         return;
@@ -133,10 +137,8 @@ SearchResult branch_and_bound(const Graph& graph,
   TreeWalk walk(graph, options, is_output);
   PR_REQUIRE_MSG(walk.num_to_schedule > 0, "graph has no non-input vertices");
 
-  const bounds::PartialBound root = bounds::partial_schedule_lower_bound(
-      graph, {}, options.cache_size, is_output);
   walk.result.lower_bound =
-      std::max(root.total(), options.extra_lower_bound);
+      std::max(walk.bound.total().total(), options.extra_lower_bound);
   walk.result.best_io = kInfinity;
 
   if (!options.initial_incumbent.empty()) {

@@ -8,12 +8,14 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <new>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "pathrouting/bilinear/catalog.hpp"
+#include "pathrouting/bounds/schedule_bound.hpp"
 #include "pathrouting/bounds/segment_certifier.hpp"
 #include "pathrouting/cdag/cdag.hpp"
 #include "pathrouting/obs/bench_record.hpp"
@@ -298,6 +300,37 @@ TEST_F(ObsTest, DisabledModeDoesNotAllocateOrCount) {
   EXPECT_EQ(after, before) << "disabled obs hot path allocated";
   obs::set_enabled(true);
   EXPECT_EQ(counter_value("test.disabled"), 0u);
+#endif
+}
+
+// The schedule search pushes, pops and reads its prefix bound at every
+// node, so after construction none of the three may touch the heap.
+TEST(ZeroAllocation, PrefixBoundPushPopTotalDoNotAllocate) {
+#if !PR_OBS_COUNTING_ALLOCATOR
+  GTEST_SKIP() << "counting allocator disabled under sanitizers";
+#else
+  const cdag::Cdag cdag(bilinear::strassen(), 2,
+                        {.with_coefficients = false});
+  const std::vector<cdag::VertexId> order = schedule::dfs_schedule(cdag);
+  const std::function<bool(cdag::VertexId)> is_out =
+      [&](cdag::VertexId v) { return cdag.layout().is_output(v); };
+  bounds::PrefixBound bound(cdag.graph(), 16, is_out);
+
+  std::uint64_t sum = 0;
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int round = 0; round < 3; ++round) {
+    for (const cdag::VertexId v : order) {
+      bound.push(v);
+      sum += bound.total().total();
+    }
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      bound.pop();
+      sum += bound.total().total();
+    }
+  }
+  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after, before) << "PrefixBound allocated after construction";
+  EXPECT_GT(sum, 0u);
 #endif
 }
 

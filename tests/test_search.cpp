@@ -22,6 +22,7 @@
 #include <cstdlib>
 #include <functional>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,7 @@
 #include "pathrouting/search/sweep.hpp"
 #include "pathrouting/support/parallel.hpp"
 #include "pathrouting/support/prng.hpp"
+#include "support/reference_min_replay.hpp"
 
 namespace {
 
@@ -336,6 +338,195 @@ TEST(ScheduleSearchBound, InflatedBoundMissesOptimaSomewhere) {
   EXPECT_GT(missed, 0)
       << "an infinitely pessimistic bound never cost an optimum — "
          "pruning is not load-bearing, the harness tests nothing";
+}
+
+// ---------------------------------------------------------------------------
+// Incremental prefix bound against the whole-prefix replay oracle
+
+/// A random DAG with wider steps than random_dag: 2..5 sources, 6..24
+/// vertices, in-degree 1..5, and now and then an operand listed twice.
+Graph random_wide_dag(support::Xoshiro256& rng) {
+  const std::uint64_t n = 6 + rng.below(19);
+  const std::uint64_t inputs = 2 + rng.below(4);
+  std::vector<std::vector<VertexId>> preds(n);
+  for (std::uint64_t v = inputs; v < n; ++v) {
+    const std::uint64_t deg = 1 + rng.below(std::min<std::uint64_t>(5, v));
+    for (std::uint64_t i = 0; i < deg; ++i) {
+      preds[v].push_back(static_cast<VertexId>(rng.below(v)));
+    }
+  }
+  return make_graph(preds);
+}
+
+std::uint64_t max_in_degree(const Graph& graph) {
+  std::uint64_t d = 0;
+  for (VertexId v = 0; v < graph.num_vertices(); ++v) {
+    d = std::max<std::uint64_t>(d, graph.in_degree(v));
+  }
+  return d;
+}
+
+/// Pushes `order` one step at a time and requires PrefixBound to equal
+/// the replay oracle, field by field, on every prefix (the empty one
+/// included). Returns the bounds seen, for coverage checks.
+std::vector<bounds::PartialBound> expect_every_prefix_matches(
+    const Graph& graph, std::span<const VertexId> order, std::uint64_t m,
+    const std::function<bool(VertexId)>& out) {
+  std::vector<bounds::PartialBound> seen;
+  bounds::PrefixBound bound(graph, m, out);
+  for (std::size_t len = 0;; ++len) {
+    seen.push_back(bound.total());
+    const bounds::PartialBound want =
+        oracle::reference_partial_bound(graph, order.first(len), m, out);
+    EXPECT_EQ(seen.back().prefix_reads, want.prefix_reads)
+        << "M=" << m << " prefix_len=" << len;
+    EXPECT_EQ(seen.back().suffix_reads, want.suffix_reads)
+        << "M=" << m << " prefix_len=" << len;
+    EXPECT_EQ(seen.back().output_writes, want.output_writes)
+        << "M=" << m << " prefix_len=" << len;
+    if (len == order.size() || seen.back() != want) break;
+    bound.push(order[len]);
+  }
+  return seen;
+}
+
+// Every prefix of seeded random DAGs, at every M from the feasibility
+// floor (max in-degree + 1) to n + 1: the interval-packing MIN count
+// and the incrementally kept suffix terms equal the Belady replay.
+// Replay one instance with PR_PROPERTY_SEED=<seed> PR_PROPERTY_ITERS=1.
+TEST(ScheduleSearchBound, PrefixBoundMatchesReplayOnEveryPrefix) {
+  const std::uint64_t base_seed = property_seed();
+  const int iters = 8 * property_iters();
+  bool capacity_miss = false, overflow = false;
+  for (int i = 0; i < iters; ++i) {
+    const std::uint64_t seed = base_seed + static_cast<std::uint64_t>(i);
+    SCOPED_TRACE("PR_PROPERTY_SEED=" + std::to_string(seed));
+    support::Xoshiro256 rng(seed);
+    const Graph graph = random_wide_dag(rng);
+    const auto out = sinks_are_outputs(graph);
+    const std::vector<VertexId> order =
+        schedule::random_topological_schedule(graph, seed);
+    std::vector<std::vector<bounds::PartialBound>> by_m;
+    for (std::uint64_t m = max_in_degree(graph) + 1;
+         m <= graph.num_vertices() + 1; ++m) {
+      by_m.push_back(expect_every_prefix_matches(graph, order, m, out));
+    }
+    // At M = n + 1 no value is refetched and none overflows the
+    // boundary, so any difference from that row is a capacity effect.
+    const std::vector<bounds::PartialBound>& roomy = by_m.back();
+    for (const std::vector<bounds::PartialBound>& row : by_m) {
+      for (std::size_t len = 0; len < std::min(row.size(), roomy.size());
+           ++len) {
+        capacity_miss |= row[len].prefix_reads > roomy[len].prefix_reads;
+        overflow |= row[len].suffix_reads > roomy[len].suffix_reads;
+      }
+    }
+  }
+  EXPECT_TRUE(capacity_miss) << "no prefix ever refetched a value";
+  EXPECT_TRUE(overflow) << "no prefix ever paid the live - M term";
+}
+
+// A random walk of the search tree — push a random ready vertex or pop
+// — must leave PrefixBound in the state of a fresh bound with the same
+// prefix pushed: equal after every move, and equal on every step of a
+// common completion afterwards (which exercises the per-step room the
+// pops restored).
+TEST(ScheduleSearchBound, PrefixBoundPopRestoresFreshState) {
+  const std::uint64_t base_seed = property_seed();
+  const int iters = 8 * property_iters();
+  for (int i = 0; i < iters; ++i) {
+    const std::uint64_t seed = base_seed + static_cast<std::uint64_t>(i);
+    SCOPED_TRACE("PR_PROPERTY_SEED=" + std::to_string(seed));
+    support::Xoshiro256 rng(seed);
+    const Graph graph = random_wide_dag(rng);
+    const auto out = sinks_are_outputs(graph);
+    const VertexId n = graph.num_vertices();
+    const std::uint64_t m = max_in_degree(graph) + 1 + rng.below(4);
+
+    std::vector<std::uint32_t> missing(n, 0);
+    std::uint64_t to_schedule = 0;
+    for (VertexId v = 0; v < n; ++v) {
+      if (graph.in(v).empty()) continue;
+      ++to_schedule;
+      for (const VertexId p : graph.in(v)) {
+        if (!graph.in(p).empty()) ++missing[v];
+      }
+    }
+    std::vector<std::uint8_t> done(n, 0);
+    const auto ready = [&] {
+      std::vector<VertexId> r;
+      for (VertexId v = 0; v < n; ++v) {
+        if (!graph.in(v).empty() && done[v] == 0 && missing[v] == 0) {
+          r.push_back(v);
+        }
+      }
+      return r;
+    };
+    std::vector<VertexId> prefix;
+    bounds::PrefixBound walked(graph, m, out);
+    const auto push = [&](VertexId v) {
+      prefix.push_back(v);
+      walked.push(v);
+      done[v] = 1;
+      for (const VertexId c : graph.out(v)) --missing[c];
+    };
+    for (int move = 0; move < 200; ++move) {
+      if (!prefix.empty() &&
+          (prefix.size() == to_schedule || rng.below(5) < 2)) {
+        const VertexId v = prefix.back();
+        prefix.pop_back();
+        walked.pop();
+        done[v] = 0;
+        for (const VertexId c : graph.out(v)) ++missing[c];
+      } else {
+        const std::vector<VertexId> r = ready();
+        push(r[rng.below(r.size())]);
+      }
+      ASSERT_EQ(walked.total(),
+                bounds::partial_schedule_lower_bound(graph, prefix, m, out))
+          << "move " << move << " prefix_len=" << prefix.size();
+    }
+    bounds::PrefixBound fresh(graph, m, out);
+    for (const VertexId v : prefix) fresh.push(v);
+    while (prefix.size() < to_schedule) {
+      const VertexId v = ready().front();
+      push(v);
+      fresh.push(v);
+      ASSERT_EQ(walked.total(), fresh.total())
+          << "completion prefix_len=" << prefix.size();
+    }
+    EXPECT_EQ(walked.total(),
+              oracle::reference_partial_bound(graph, prefix, m, out));
+  }
+}
+
+// The search matrix of bench_schedule_search: on the DFS and BFS
+// schedules of each (algorithm, r, M) point, every prefix matches.
+TEST(ScheduleSearchBound, PrefixBoundMatchesReplayOnSearchMatrix) {
+  struct Point {
+    const char* algorithm;
+    int r;
+    std::uint64_t m;
+  };
+  constexpr Point kMatrix[] = {
+      {"strassen", 1, 6},    {"strassen", 1, 8},   {"strassen", 1, 12},
+      {"strassen", 1, 16},   {"strassen", 1, 24},  {"strassen", 1, 40},
+      {"classical2", 1, 4},  {"classical2", 1, 6}, {"classical2", 1, 8},
+      {"classical2", 1, 12}, {"classical2", 1, 36}, {"winograd", 1, 8},
+      {"winograd", 1, 40},   {"strassen", 2, 16},  {"strassen", 2, 64},
+      {"strassen", 2, 300},
+  };
+  for (const Point& point : kMatrix) {
+    SCOPED_TRACE(std::string(point.algorithm) + " r=" +
+                 std::to_string(point.r) + " M=" + std::to_string(point.m));
+    const cdag::Cdag cdag(bilinear::by_name(point.algorithm), point.r,
+                          {.with_coefficients = false});
+    const auto out = [&](VertexId v) { return cdag.layout().is_output(v); };
+    for (const std::vector<VertexId>& order :
+         {schedule::dfs_schedule(cdag), schedule::bfs_schedule(cdag)}) {
+      expect_every_prefix_matches(cdag.graph(), order, point.m, out);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
