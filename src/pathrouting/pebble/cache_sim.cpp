@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 
 #include "pathrouting/obs/obs.hpp"
 #include "pathrouting/pebble/policies.hpp"
@@ -56,6 +57,28 @@ PebbleResult run(const Graph& graph, std::span<const VertexId> schedule,
     if (options.record_step_io) ++result.step_io[current_step];
   };
 
+  // Stop rule (cache_sim.hpp). Outputs are counted only under a limit,
+  // so an unlimited run makes no extra is_output call. A write that the
+  // rule counts is always of a value read again later, so testing at
+  // reads alone would stop every run that should stop; testing at
+  // writes too stops sooner (a sixth fewer simulated steps on the E20
+  // search points).
+  const bool limited =
+      options.io_limit != std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t outputs_unwritten = 0;
+  if (limited) {
+    for (VertexId v = 0; v < n; ++v) {
+      outputs_unwritten += !written[v] && is_output(v);
+    }
+  }
+  const auto stop_rule_fires = [&] {
+    result.stopped =
+        limited && std::max(result.reads, options.reads_floor) +
+                           result.writes + outputs_unwritten >=
+                       options.io_limit;
+    return result.stopped;
+  };
+
   // Next consumption of v strictly after step s (kNeverUsed if none),
   // advancing the monotone per-vertex cursor.
   const auto advance_next_use = [&](VertexId v, std::uint32_t s) {
@@ -70,23 +93,30 @@ PebbleResult run(const Graph& graph, std::span<const VertexId> schedule,
     resident.set(v, lru ? touch_clock : nu);
   };
 
+  // Evicts one unpinned value; true when its write fired the stop rule.
   const auto evict_one = [&](std::uint32_t stamp) {
     const VertexId victim =
         resident.pick([&](VertexId u) { return pin_stamp[u] == stamp; });
-    if (dirty[victim] &&
-        (next_use[victim] != UINT32_MAX ||
-         (is_output(victim) && !written[victim]))) {
+    const bool write = dirty[victim] &&
+                       (next_use[victim] != UINT32_MAX ||
+                        (is_output(victim) && !written[victim]));
+    if (write) {
       ++result.writes;
       ++result.evictions_dirty;
       charge_step();
       if (segmented) ++result.segment_writes[birth_segment[victim]];
+      // A dirty value has never been written, so this settles an output.
+      if (limited && is_output(victim)) --outputs_unwritten;
       written[victim] = 1;
     } else {
       ++result.evictions_clean;
     }
     dirty[victim] = 0;
     resident.erase(victim);
+    return write && stop_rule_fires();
   };
+
+  if (stop_rule_fires()) return result;
 
   for (std::uint32_t s = 0; s < schedule.size(); ++s) {
     current_step = s;
@@ -103,25 +133,32 @@ PebbleResult run(const Graph& graph, std::span<const VertexId> schedule,
         PR_ASSERT_MSG(written[p],
                       "operand neither cached nor in slow memory: schedule "
                       "is not topological");
-        while (resident.size() >= m) evict_one(stamp);
+        while (resident.size() >= m) {
+          if (evict_one(stamp)) return result;
+        }
         ++result.reads;
         charge_step();
         if (segmented) ++result.segment_reads[current_segment];
         dirty[p] = 0;
+        if (stop_rule_fires()) return result;
       }
       note_access(p, advance_next_use(p, s));
     }
     // Compute v into cache.
     PR_ASSERT_MSG(!resident.contains(v), "vertex computed twice");
     pin_stamp[v] = stamp;
-    while (resident.size() >= m) evict_one(stamp);
+    while (resident.size() >= m) {
+      if (evict_one(stamp)) return result;
+    }
     dirty[v] = 1;
     if (segmented) birth_segment[v] = current_segment;
     note_access(v, advance_next_use(v, s));
     result.peak_cached = std::max(result.peak_cached, resident.size());
   }
 
-  // Halt: flush outputs that never reached slow memory.
+  // Halt: flush outputs that never reached slow memory. Each flush
+  // settles an output it was already charged for, so the stop rule
+  // cannot fire here.
   for (VertexId v = 0; v < n; ++v) {
     if (is_output(v) && !written[v]) {
       PR_ASSERT_MSG(resident.contains(v) && dirty[v], "lost output value");
@@ -145,14 +182,19 @@ PebbleResult simulate(const Graph& graph, std::span<const VertexId> schedule,
   static obs::Counter obs_reads("pebble.reads");
   static obs::Counter obs_writes("pebble.writes");
   static obs::Counter obs_evictions("pebble.evictions");
+  static obs::Counter obs_stopped("pebble.stopped");
   PebbleResult result =
       options.eviction == Eviction::Belady
           ? run<std::greater<>>(graph, schedule, options, is_output)
           : run<std::less<>>(graph, schedule, options, is_output);
   obs_runs.add();
-  obs_reads.add(result.reads);
-  obs_writes.add(result.writes);
-  obs_evictions.add(result.evictions_dirty + result.evictions_clean);
+  if (result.stopped) {
+    obs_stopped.add();
+  } else {
+    obs_reads.add(result.reads);
+    obs_writes.add(result.writes);
+    obs_evictions.add(result.evictions_dirty + result.evictions_clean);
+  }
   return result;
 }
 

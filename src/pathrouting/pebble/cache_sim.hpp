@@ -26,13 +26,28 @@
 // of (graph, schedule, M, policy) on every platform — the contract the
 // golden corpus and the schedule-search certificates pin.
 //
-// Observability: each call is one "pebble.simulate" span and adds its
-// totals once to the counters pebble.runs, pebble.reads, pebble.writes
-// and pebble.evictions.
+// Stop rule: a caller that only needs to know whether a schedule beats
+// some cost sets PebbleOptions::io_limit. The run then stops as soon as
+//   max(reads, reads_floor) + writes + (outputs not yet written)
+// reaches io_limit, and returns with `stopped` set and partial counts.
+// The left side never exceeds the final I/O: reads only grow and never
+// end below the MIN fetch count that reads_floor may carry, and every
+// output still missing from slow memory costs one more write. So a
+// stopped run's full I/O is >= io_limit, a run whose full I/O is below
+// io_limit never stops, and a run that does not stop returns exactly
+// what an unlimited run returns. The limit is tested only where a read
+// or a write is counted, and outputs are counted only when a limit is
+// set, so an unlimited run pays nothing for the rule.
+//
+// Observability: each call is one "pebble.simulate" span and counts
+// once in pebble.runs. A finished run adds its totals to pebble.reads,
+// pebble.writes and pebble.evictions; a stopped one adds only to
+// pebble.stopped.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -59,6 +74,14 @@ struct PebbleOptions {
   /// executing each step, for offline re-segmentation (the Hong-Kung
   /// partition lemma; see bounds/hong_kung.hpp).
   bool record_step_io = false;
+  /// Stop once the run's I/O is proven to reach this (see the stop rule
+  /// above); the default never stops.
+  std::uint64_t io_limit = std::numeric_limits<std::uint64_t>::max();
+  /// A floor on the run's final read count, read only by the stop rule.
+  /// The MIN fetch count of the schedule at M (e.g. the prefix_reads of
+  /// bounds::PrefixBound over the whole schedule) is one under any
+  /// eviction policy.
+  std::uint64_t reads_floor = 0;
 };
 
 struct PebbleResult {
@@ -73,6 +96,9 @@ struct PebbleResult {
   /// Peak number of simultaneously cached values (<= M; smaller when
   /// the schedule never fills the cache).
   std::uint64_t peak_cached = 0;
+  /// The stop rule fired: the counts are partial, and the full run's
+  /// I/O is at least PebbleOptions::io_limit.
+  bool stopped = false;
   [[nodiscard]] std::uint64_t io() const { return reads + writes; }
   /// Per-segment attribution (see PebbleOptions::segment_ends).
   std::vector<std::uint64_t> segment_reads;

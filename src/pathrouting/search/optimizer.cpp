@@ -51,13 +51,39 @@ struct TreeWalk {
     prefix.reserve(num_to_schedule);
   }
 
+  /// True when no completion of `prefix` can beat the incumbent: its
+  /// admissible bound, for a complete order a bound on that order's own
+  /// cost, already reaches it.
+  [[nodiscard]] bool bound_reaches_incumbent() const {
+    return result.best_io != kInfinity &&
+           std::max(bound.total().total(), options.extra_lower_bound) +
+                   options.debug_bound_inflation >=
+               result.best_io;
+  }
+
+  /// Scores the complete order `prefix` only as far as it takes to show
+  /// that it cannot beat the incumbent: not at all when its bound
+  /// already reaches it, else under the simulator's stop rule with the
+  /// MIN fetch count as the read floor. An initial incumbent is scored
+  /// against an empty bound and no incumbent, so its run is unlimited.
   void score_leaf() {
     static obs::Counter leaves("search.leaves_scored");
+    static obs::Counter cut("search.leaves_cut");
+    static obs::Counter simulated("search.leaves_simulated");
     leaves.add();
     ++result.leaves_scored;
-    const pebble::PebbleResult sim = pebble::simulate(
-        graph, prefix, {.cache_size = options.cache_size}, is_output);
-    if (sim.io() < result.best_io) {
+    if (bound_reaches_incumbent()) {
+      cut.add();
+      return;
+    }
+    simulated.add();
+    const pebble::PebbleResult sim =
+        pebble::simulate(graph, prefix,
+                         {.cache_size = options.cache_size,
+                          .io_limit = result.best_io,
+                          .reads_floor = bound.total().prefix_reads},
+                         is_output);
+    if (!sim.stopped && sim.io() < result.best_io) {
       result.best_io = sim.io();
       result.best_schedule = prefix;
       if (result.best_io == result.lower_bound) stop = true;
@@ -90,15 +116,10 @@ struct TreeWalk {
     }
     static obs::Counter pruned("search.nodes_pruned");
     static obs::Counter expanded("search.nodes_expanded");
-    if (result.best_io != kInfinity) {
-      const std::uint64_t lower =
-          std::max(bound.total().total(), options.extra_lower_bound) +
-          options.debug_bound_inflation;
-      if (lower >= result.best_io) {
-        pruned.add();
-        ++result.nodes_pruned;
-        return;
-      }
+    if (bound_reaches_incumbent()) {
+      pruned.add();
+      ++result.nodes_pruned;
+      return;
     }
     for (VertexId v = 0; v < graph.num_vertices(); ++v) {
       if (!ready[v]) continue;

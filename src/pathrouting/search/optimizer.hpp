@@ -5,8 +5,15 @@
 // optimizer explores the space of completions of partial topological
 // orders, pruning with the admissible partial-state bound of
 // bounds/schedule_bound.hpp (never an overestimate of the best
-// completion, so no optimum is ever cut) and scoring every leaf
-// exactly through pebble::simulate with Belady eviction.
+// completion, so no optimum is ever cut). A leaf is scored with
+// pebble::simulate under Belady eviction, but only as far as it takes
+// to show that it cannot beat the incumbent: a leaf whose bound already
+// reaches the incumbent is not simulated at all, and every other leaf
+// runs under the simulator's stop rule (io_limit = the incumbent,
+// reads_floor = the bound's MIN fetch count). Any leaf that could
+// improve runs to the end, so results are those of exact scoring.
+// leaves_scored counts leaves reached; the obs counters
+// search.leaves_cut and search.leaves_simulated split them.
 //
 // Certification: a result is *certified optimal* exactly when the
 // incumbent's cost equals the root lower bound (kBoundMet): no

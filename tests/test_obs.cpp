@@ -23,6 +23,7 @@
 #include "pathrouting/obs/obs.hpp"
 #include "pathrouting/pebble/cache_sim.hpp"
 #include "pathrouting/schedule/schedules.hpp"
+#include "pathrouting/search/optimizer.hpp"
 #include "pathrouting/support/parallel.hpp"
 
 // ---------------------------------------------------------------------
@@ -240,6 +241,56 @@ TEST_F(ObsTest, PebbleCountersSumSimulatedTotals) {
     spans += std::string(span.name) == "pebble.simulate";
   }
   EXPECT_EQ(spans, kRuns);
+}
+
+TEST_F(ObsTest, StoppedRunCountsOnlyAsStopped) {
+  const cdag::Cdag cdag(bilinear::strassen(), 2,
+                        {.with_coefficients = false});
+  const auto is_out = [&](cdag::VertexId v) {
+    return cdag.layout().is_output(v);
+  };
+  const std::vector<cdag::VertexId> order = schedule::dfs_schedule(cdag);
+  pebble::PebbleOptions options{.cache_size = 8};
+  const std::uint64_t io =
+      pebble::simulate(cdag.graph(), order, options, is_out).io();
+  options.io_limit = io / 2;
+  obs::set_enabled(true);
+  const pebble::PebbleResult res =
+      pebble::simulate(cdag.graph(), order, options, is_out);
+  ASSERT_TRUE(res.stopped);
+  ASSERT_GT(res.reads, 0u);
+  EXPECT_EQ(counter_value("pebble.runs"), 1u);
+  EXPECT_EQ(counter_value("pebble.stopped"), 1u);
+  EXPECT_EQ(counter_value("pebble.reads"), 0u);
+  EXPECT_EQ(counter_value("pebble.writes"), 0u);
+  EXPECT_EQ(counter_value("pebble.evictions"), 0u);
+}
+
+// Every leaf the search reaches is either cut by its bound or simulated
+// once, on a budget-bound point of the E20 matrix (strassen r = 1,
+// M = 6, seeded with the DFS order).
+TEST_F(ObsTest, SearchLeavesAreCutOrSimulatedOnce) {
+  const cdag::Cdag cdag(bilinear::strassen(), 1,
+                        {.with_coefficients = false});
+  const std::function<bool(cdag::VertexId)> is_out =
+      [&](cdag::VertexId v) { return cdag.layout().is_output(v); };
+  search::SearchOptions options;
+  options.cache_size = 6;
+  options.node_budget = 40000;
+  options.initial_incumbent = schedule::dfs_schedule(cdag);
+  obs::set_enabled(true);
+  const search::SearchResult result =
+      search::branch_and_bound(cdag.graph(), options, is_out);
+  ASSERT_TRUE(result.budget_exhausted);
+  const std::uint64_t cut = counter_value("search.leaves_cut");
+  const std::uint64_t simulated = counter_value("search.leaves_simulated");
+  EXPECT_EQ(counter_value("search.leaves_scored"), result.leaves_scored);
+  EXPECT_EQ(result.leaves_scored, cut + simulated);
+  EXPECT_GT(cut, 0u);
+  EXPECT_EQ(counter_value("pebble.runs"), simulated);
+  const std::uint64_t stopped = counter_value("pebble.stopped");
+  EXPECT_GT(stopped, 0u);
+  EXPECT_LT(stopped, simulated);
 }
 
 TEST_F(ObsTest, CertifierSpansSplitEndsFromBoundary) {

@@ -3,7 +3,9 @@
 // (per-vertex use lists, a flat list of resident values, and a linear
 // scan of that list for every victim — O(M) per eviction), on seeded
 // random DAGs and random topological schedules, for both eviction
-// policies and every cache size from max in-degree + 1 to n + 1.
+// policies and every cache size from max in-degree + 1 to n + 1. The
+// stop rule (PebbleOptions::io_limit) is checked on the same DAGs
+// against simulate's own unlimited runs.
 //
 // Environment knobs (the nightly CI job turns both up):
 //   PR_PROPERTY_SEED   base seed of the sweep  (default 20260806)
@@ -18,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "pathrouting/bounds/schedule_bound.hpp"
 #include "pathrouting/cdag/graph.hpp"
 #include "pathrouting/pebble/cache_sim.hpp"
 #include "pathrouting/schedule/schedules.hpp"
@@ -270,6 +273,74 @@ TEST(PebbleOracle, SimulateMatchesReferenceOnRandomDags) {
   // The sweep must exercise the victim search below a pinned top.
   EXPECT_GT(pinned_tops[0], 0u) << "Belady never saw a pinned top";
   EXPECT_GT(pinned_tops[1], 0u) << "LRU never saw a pinned top";
+}
+
+// The stop rule on every feasible M, every io_limit in [0, io + 1] and
+// both a zero read floor and the true MIN fetch count (PrefixBound's
+// prefix_reads over the whole order): a stopped run's full I/O reaches
+// the limit, a run below the limit never stops, and a run that does not
+// stop is the unlimited run in every field. The rule is also tight: the
+// bound it tests equals the final I/O once the last read or write is
+// counted, so every run whose I/O reaches the limit stops.
+TEST(PebbleOracle, StopRuleIsSoundAndOtherwiseInvisible) {
+  const std::uint64_t base_seed = property_seed();
+  const int iters = property_iters();
+  std::uint64_t stopped = 0, floor_raised = 0;
+  for (int i = 0; i < iters; ++i) {
+    const std::uint64_t seed = base_seed + static_cast<std::uint64_t>(i);
+    support::Xoshiro256 rng(seed);
+    const Graph graph = random_dag(rng);
+    const VertexId n = graph.num_vertices();
+    std::uint64_t max_in = 0;
+    std::vector<bool> output(n, false);
+    for (VertexId v = 0; v < n; ++v) {
+      max_in = std::max<std::uint64_t>(max_in, graph.in_degree(v));
+      output[v] = graph.in_degree(v) > 0 &&
+                  (graph.out_degree(v) == 0 || rng.below(4) == 0);
+    }
+    const std::function<bool(VertexId)> is_output = [&](VertexId v) {
+      return output[v];
+    };
+    const std::vector<VertexId> order =
+        schedule::random_topological_schedule(graph, rng());
+    for (const Eviction eviction : {Eviction::Belady, Eviction::Lru}) {
+      for (std::uint64_t m = max_in + 1; m <= n + 1; ++m) {
+        const PebbleOptions unlimited{.cache_size = m, .eviction = eviction};
+        const PebbleResult full =
+            pebble::simulate(graph, order, unlimited, is_output);
+        bounds::PrefixBound bound(graph, m, is_output);
+        for (const VertexId v : order) bound.push(v);
+        const std::uint64_t min_reads = bound.total().prefix_reads;
+        ASSERT_LE(min_reads, full.reads)
+            << "PR_PROPERTY_SEED=" << seed << " M=" << m;
+        for (const std::uint64_t floor : {std::uint64_t{0}, min_reads}) {
+          for (std::uint64_t limit = 0; limit <= full.io() + 1; ++limit) {
+            SCOPED_TRACE("PR_PROPERTY_SEED=" + std::to_string(seed) +
+                         " M=" + std::to_string(m) + " floor=" +
+                         std::to_string(floor) + " io_limit=" +
+                         std::to_string(limit) +
+                         (eviction == Eviction::Lru ? " lru" : " belady"));
+            PebbleOptions options = unlimited;
+            options.io_limit = limit;
+            options.reads_floor = floor;
+            const PebbleResult got =
+                pebble::simulate(graph, order, options, is_output);
+            ASSERT_EQ(got.stopped, full.io() >= limit);
+            if (got.stopped) {
+              ++stopped;
+              EXPECT_LE(got.reads, full.reads);
+              EXPECT_LE(got.writes, full.writes);
+            } else {
+              expect_same(got, full);
+            }
+          }
+        }
+        floor_raised += min_reads > 0;
+      }
+    }
+  }
+  EXPECT_GT(stopped, 0u);
+  EXPECT_GT(floor_raised, 0u) << "the MIN floor was never above zero";
 }
 
 }  // namespace

@@ -80,13 +80,12 @@ std::function<bool(VertexId)> sinks_are_outputs(const Graph& graph) {
   };
 }
 
-/// The exhaustive oracle: every topological order of the non-input
-/// vertices, simulated under Belady; returns the I/O minimum. The
-/// recursion mirrors Kahn's algorithm, so it visits each order once.
-std::uint64_t oracle_min_io(const Graph& graph, std::uint64_t cache_size,
-                            const std::function<bool(VertexId)>& is_output,
-                            std::vector<VertexId>* argmin = nullptr,
-                            std::vector<VertexId> prefix = {}) {
+/// Visits every topological order of the non-input vertices that
+/// extends `prefix`, until `visit` returns false. The recursion mirrors
+/// Kahn's algorithm, so it visits each order once.
+void for_each_completion(
+    const Graph& graph, std::vector<VertexId> prefix,
+    const std::function<bool(const std::vector<VertexId>&)>& visit) {
   const VertexId n = graph.num_vertices();
   std::vector<std::uint32_t> missing(n, 0);
   std::uint64_t to_schedule = 0;
@@ -102,32 +101,46 @@ std::uint64_t oracle_min_io(const Graph& graph, std::uint64_t cache_size,
     done[v] = 1;
     for (const VertexId c : graph.out(v)) --missing[c];
   }
-  std::uint64_t best = std::numeric_limits<std::uint64_t>::max();
   std::vector<VertexId>& order = prefix;
-  const std::function<void()> recurse = [&] {
-    if (order.size() == to_schedule) {
-      const std::uint64_t io =
-          pebble::simulate(graph, order, {.cache_size = cache_size},
-                           is_output)
-              .io();
-      if (io < best) {
-        best = io;
-        if (argmin != nullptr) *argmin = order;
-      }
-      return;
-    }
+  // Returns false once `visit` has asked to stop.
+  const std::function<bool()> recurse = [&] {
+    if (order.size() == to_schedule) return visit(order);
     for (VertexId v = 0; v < n; ++v) {
       if (graph.in(v).empty() || done[v] != 0 || missing[v] != 0) continue;
       done[v] = 1;
       for (const VertexId c : graph.out(v)) --missing[c];
       order.push_back(v);
-      recurse();
+      const bool more = recurse();
       order.pop_back();
       for (const VertexId c : graph.out(v)) ++missing[c];
       done[v] = 0;
+      if (!more) return false;
     }
+    return true;
   };
   recurse();
+}
+
+/// The exhaustive oracle: every topological order of the non-input
+/// vertices that extends `prefix`, simulated under Belady; returns the
+/// I/O minimum.
+std::uint64_t oracle_min_io(const Graph& graph, std::uint64_t cache_size,
+                            const std::function<bool(VertexId)>& is_output,
+                            std::vector<VertexId>* argmin = nullptr,
+                            std::vector<VertexId> prefix = {}) {
+  std::uint64_t best = std::numeric_limits<std::uint64_t>::max();
+  for_each_completion(
+      graph, std::move(prefix), [&](const std::vector<VertexId>& order) {
+        const std::uint64_t io =
+            pebble::simulate(graph, order, {.cache_size = cache_size},
+                             is_output)
+                .io();
+        if (io < best) {
+          best = io;
+          if (argmin != nullptr) *argmin = order;
+        }
+        return true;
+      });
   return best;
 }
 
@@ -500,23 +513,29 @@ TEST(ScheduleSearchBound, PrefixBoundPopRestoresFreshState) {
   }
 }
 
+/// The (algorithm, r, M, node budget) matrix of bench_schedule_search.
+struct MatrixPoint {
+  const char* algorithm;
+  int r;
+  std::uint64_t m;
+  std::uint64_t budget;
+};
+constexpr MatrixPoint kSearchMatrix[] = {
+    {"strassen", 1, 6, 40000},   {"strassen", 1, 8, 40000},
+    {"strassen", 1, 12, 40000},  {"strassen", 1, 16, 40000},
+    {"strassen", 1, 24, 40000},  {"strassen", 1, 40, 40000},
+    {"classical2", 1, 4, 40000}, {"classical2", 1, 6, 40000},
+    {"classical2", 1, 8, 40000}, {"classical2", 1, 12, 40000},
+    {"classical2", 1, 36, 40000},
+    {"winograd", 1, 8, 40000},   {"winograd", 1, 40, 40000},
+    {"strassen", 2, 16, 4000},   {"strassen", 2, 64, 4000},
+    {"strassen", 2, 300, 4000},
+};
+
 // The search matrix of bench_schedule_search: on the DFS and BFS
 // schedules of each (algorithm, r, M) point, every prefix matches.
 TEST(ScheduleSearchBound, PrefixBoundMatchesReplayOnSearchMatrix) {
-  struct Point {
-    const char* algorithm;
-    int r;
-    std::uint64_t m;
-  };
-  constexpr Point kMatrix[] = {
-      {"strassen", 1, 6},    {"strassen", 1, 8},   {"strassen", 1, 12},
-      {"strassen", 1, 16},   {"strassen", 1, 24},  {"strassen", 1, 40},
-      {"classical2", 1, 4},  {"classical2", 1, 6}, {"classical2", 1, 8},
-      {"classical2", 1, 12}, {"classical2", 1, 36}, {"winograd", 1, 8},
-      {"winograd", 1, 40},   {"strassen", 2, 16},  {"strassen", 2, 64},
-      {"strassen", 2, 300},
-  };
-  for (const Point& point : kMatrix) {
+  for (const MatrixPoint& point : kSearchMatrix) {
     SCOPED_TRACE(std::string(point.algorithm) + " r=" +
                  std::to_string(point.r) + " M=" + std::to_string(point.m));
     const cdag::Cdag cdag(bilinear::by_name(point.algorithm), point.r,
@@ -525,6 +544,73 @@ TEST(ScheduleSearchBound, PrefixBoundMatchesReplayOnSearchMatrix) {
     for (const std::vector<VertexId>& order :
          {schedule::dfs_schedule(cdag), schedule::bfs_schedule(cdag)}) {
       expect_every_prefix_matches(cdag.graph(), order, point.m, out);
+    }
+  }
+}
+
+/// Requires the bound's MIN fetch count over the complete order to equal
+/// the Belady simulator's read count at M.
+void expect_min_reads_are_belady_reads(
+    const Graph& graph, std::span<const VertexId> order, std::uint64_t m,
+    const std::function<bool(VertexId)>& out) {
+  bounds::PrefixBound bound(graph, m, out);
+  for (const VertexId v : order) bound.push(v);
+  EXPECT_EQ(bound.total().prefix_reads,
+            pebble::simulate(graph, order, {.cache_size = m}, out).reads)
+      << "M=" << m;
+}
+
+// A search leaf passes its bound's prefix_reads to the simulator as the
+// stop rule's read floor, which is sound while prefix_reads <= reads.
+// The two are equal: on a complete order the bound's interval packing
+// is MIN's fetch count on the order's access string, and Belady evicts
+// by MIN's rule on the same string. Checked on every complete order of
+// the random wide DAGs (the first 64 in Kahn order, plus 16 random
+// ones, where a DAG has more) at every M.
+TEST(ScheduleSearchBound, PrefixReadsEqualBeladyReadsOnCompleteOrders) {
+  const std::uint64_t base_seed = property_seed();
+  const int iters = 8 * property_iters();
+  for (int i = 0; i < iters; ++i) {
+    const std::uint64_t seed = base_seed + static_cast<std::uint64_t>(i);
+    SCOPED_TRACE("PR_PROPERTY_SEED=" + std::to_string(seed));
+    support::Xoshiro256 rng(seed);
+    const Graph graph = random_wide_dag(rng);
+    const auto out = sinks_are_outputs(graph);
+    const auto check = [&](std::span<const VertexId> order) {
+      for (std::uint64_t m = max_in_degree(graph) + 1;
+           m <= graph.num_vertices() + 1; ++m) {
+        expect_min_reads_are_belady_reads(graph, order, m, out);
+      }
+    };
+    int orders = 0;
+    for_each_completion(graph, {}, [&](const std::vector<VertexId>& order) {
+      check(order);
+      return ++orders < 64;
+    });
+    for (int k = 0; orders == 64 && k < 16; ++k) {
+      check(schedule::random_topological_schedule(graph, rng()));
+    }
+  }
+}
+
+// The same equality on the DFS, BFS and search-witness orders of the
+// bench_schedule_search matrix.
+TEST(ScheduleSearchBound, PrefixReadsEqualBeladyReadsOnSearchMatrix) {
+  for (const MatrixPoint& point : kSearchMatrix) {
+    SCOPED_TRACE(std::string(point.algorithm) + " r=" +
+                 std::to_string(point.r) + " M=" + std::to_string(point.m));
+    const cdag::Cdag cdag(bilinear::by_name(point.algorithm), point.r,
+                          {.with_coefficients = false});
+    const auto out = [&](VertexId v) { return cdag.layout().is_output(v); };
+    search::SweepSpec spec;
+    spec.algorithm = point.algorithm;
+    spec.r = point.r;
+    spec.m = point.m;
+    spec.node_budget = point.budget;
+    for (const std::vector<VertexId>& order :
+         {schedule::dfs_schedule(cdag), schedule::bfs_schedule(cdag),
+          search::run_search_point(spec).witness}) {
+      expect_min_reads_are_belady_reads(cdag.graph(), order, point.m, out);
     }
   }
 }

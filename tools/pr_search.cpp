@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "pathrouting/audit/audit.hpp"
@@ -25,19 +26,34 @@ int main(int argc, char** argv) {
   search::SweepSpec spec;
   spec.algorithm = cli.flag_str("alg", "strassen", "catalog algorithm name");
   spec.r = static_cast<int>(cli.flag_int("r", 1, "recursion depth"));
-  spec.m = static_cast<std::uint64_t>(
-      cli.flag_int("m", 8, "cache size M, in values"));
-  spec.node_budget = static_cast<std::uint64_t>(cli.flag_int(
-      "budget", 100000, "branch-and-bound node budget (0 = unbounded)"));
+  const std::int64_t m = cli.flag_int("m", 8, "cache size M, in values");
+  const std::int64_t budget = cli.flag_int(
+      "budget", 100000, "branch-and-bound node budget (0 = unbounded)");
   spec.seed =
       static_cast<std::uint64_t>(cli.flag_int("seed", 1, "local-search seed"));
-  spec.ls_rounds = static_cast<std::uint64_t>(
-      cli.flag_int("ls-rounds", 16, "local-search rounds"));
-  spec.ls_moves = static_cast<std::uint64_t>(
-      cli.flag_int("ls-moves", 64, "local-search moves per round"));
+  const std::int64_t ls_rounds =
+      cli.flag_int("ls-rounds", 16, "local-search rounds");
+  const std::int64_t ls_moves =
+      cli.flag_int("ls-moves", 64, "local-search moves per round");
   cli.finish(
       "Branch-and-bound schedule search over red-blue pebblings of a "
       "catalog CDAG G_r (experiment E20).");
+  // A negative size or count would wrap to a huge u64.
+  for (const auto& [name, value] :
+       {std::pair{"m", m}, std::pair{"budget", budget},
+        std::pair{"ls-rounds", ls_rounds}, std::pair{"ls-moves", ls_moves}}) {
+    if (value < 0) {
+      std::string message = "--";
+      message += name;
+      message += " must be >= 0, got ";
+      message += std::to_string(value);
+      cli.fail(message);
+    }
+  }
+  spec.m = static_cast<std::uint64_t>(m);
+  spec.node_budget = static_cast<std::uint64_t>(budget);
+  spec.ls_rounds = static_cast<std::uint64_t>(ls_rounds);
+  spec.ls_moves = static_cast<std::uint64_t>(ls_moves);
 
   // Validate at the CLI surface: bad inputs are exit-2 one-liners, not
   // library-precondition aborts.
