@@ -165,5 +165,6 @@ int main(int argc, char** argv) {
     failed = true;
   }
 
+  obs::write_env_outputs("schedule_search_metrics", obs::git_commit());
   return failed ? EXIT_FAILURE : EXIT_SUCCESS;
 }

@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
 
   bench::print_banner(
       "E18: certificate service — content-addressed serving",
-      "Claim: a cache hit is a shared-lock map probe (p99 < 100 us), a\n"
+      "Claim: a cache hit is a lock-free index probe (p99 < 100 us), a\n"
       "cold strassen k = 7 chain miss certifies through the implicit\n"
       "engine in < 50 ms, and a reopened store serves everything off\n"
       "its certificate files with counts bit-identical to the\n"
@@ -179,5 +179,6 @@ int main(int argc, char** argv) {
 
   std::error_code ec;
   std::filesystem::remove_all(store_dir, ec);
+  obs::write_env_outputs("service_metrics", obs::git_commit());
   return failed ? 1 : 0;
 }

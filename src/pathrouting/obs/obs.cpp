@@ -15,6 +15,7 @@ namespace pathrouting::obs {
 
 namespace internal {
 std::atomic<bool> g_enabled{false};
+std::atomic<unsigned> g_next_stripe{0};
 }  // namespace internal
 
 namespace {
@@ -121,7 +122,7 @@ void reset_counters() {
   Registry& reg = registry();
   const std::lock_guard<std::mutex> lock(reg.mutex);
   for (Counter* c : reg.counters) {
-    c->value_.store(0, std::memory_order_relaxed);
+    c->count_.reset();
   }
 }
 

@@ -4,12 +4,14 @@
 // claims and their runtimes are the ROADMAP's headline numbers. This
 // layer makes both observable without perturbing either:
 //
-//   * Counter — a named monotonic counter. add() is a relaxed atomic
-//     fetch_add behind one branch on the global enabled flag; with the
-//     layer disabled (the default) the branch is the entire cost and
-//     no memory is touched. Relaxed integer addition is exactly
-//     commutative, so — like support/parallel's HitCounter — totals
-//     are bit-identical at any PR_THREADS.
+//   * ShardedCount — a count kept in per-thread stripes of 64-byte
+//     cells, so threads adding at once do not write one cache line.
+//     Relaxed integer addition is exactly commutative, so — like
+//     support/parallel's HitCounter — totals are bit-identical at any
+//     PR_THREADS once the adding threads have joined.
+//   * Counter — a named monotonic ShardedCount. add() sits behind one
+//     branch on the global enabled flag; with the layer disabled (the
+//     default) the branch is the entire cost and no memory is touched.
 //   * TraceSpan — an RAII wall-clock span. Disabled, the constructor
 //     is one branch: no clock read, no thread-local access, and no
 //     allocation (test_obs proves this with a counting allocator).
@@ -29,6 +31,7 @@
 // in obs/export.hpp.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -38,6 +41,7 @@ namespace pathrouting::obs {
 
 namespace internal {
 extern std::atomic<bool> g_enabled;
+extern std::atomic<unsigned> g_next_stripe;
 }  // namespace internal
 
 /// True when the observability layer records anything. Reads one
@@ -49,6 +53,45 @@ inline bool enabled() {
 
 /// Programmatic switch (overrides the PR_OBS environment default).
 void set_enabled(bool on);
+
+/// A monotonic count that concurrent adders do not contend on. Each
+/// thread is given a stripe once, round robin, and adds with one relaxed
+/// fetch_add to that stripe's cell; while at most kStripes threads add,
+/// no two of them share a cell, and cells sit on separate cache lines.
+/// value() sums the cells: exact once every add it should see
+/// happens-before the read (the adding threads joined, or the caller
+/// synchronized with them otherwise).
+class ShardedCount {
+ public:
+  static constexpr unsigned kStripes = 8;
+
+  void add(std::uint64_t delta = 1) {
+    cells_[stripe()].value.fetch_add(delta, std::memory_order_relaxed);
+  }
+  [[nodiscard]] std::uint64_t value() const {
+    std::uint64_t total = 0;
+    for (const Cell& cell : cells_) {
+      total += cell.value.load(std::memory_order_relaxed);
+    }
+    return total;
+  }
+  /// Zeroes every cell (no add may run concurrently).
+  void reset() {
+    for (Cell& cell : cells_) cell.value.store(0, std::memory_order_relaxed);
+  }
+
+ private:
+  struct alignas(64) Cell {
+    std::atomic<std::uint64_t> value{0};
+  };
+  static unsigned stripe() {
+    thread_local const unsigned mine =
+        internal::g_next_stripe.fetch_add(1, std::memory_order_relaxed) %
+        kStripes;
+    return mine;
+  }
+  std::array<Cell, kStripes> cells_{};
+};
 
 /// A named monotonic counter. Instances register themselves on
 /// construction and are expected to be function-local statics at the
@@ -66,18 +109,16 @@ class Counter {
 
   void add(std::uint64_t delta = 1) {
     if (!enabled()) return;
-    value_.fetch_add(delta, std::memory_order_relaxed);
+    count_.add(delta);
   }
 
   [[nodiscard]] const char* name() const { return name_; }
-  [[nodiscard]] std::uint64_t value() const {
-    return value_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t value() const { return count_.value(); }
 
  private:
   friend void reset_counters();
   const char* name_;
-  std::atomic<std::uint64_t> value_{0};
+  ShardedCount count_;
 };
 
 struct CounterValue {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <future>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -48,11 +49,6 @@ int max_rank_within_ids(const bilinear::BilinearAlgorithm& alg) {
   return r;
 }
 
-bool known_algorithm(const std::string& name) {
-  const std::vector<std::string> names = bilinear::catalog_names();
-  return std::find(names.begin(), names.end(), name) != names.end();
-}
-
 }  // namespace
 
 /// Everything needed to compute any certificate of one algorithm,
@@ -65,11 +61,14 @@ struct CertificateService::EngineArena {
   int max_rank = 0;          // id-space ceiling for requests
   bool has_decode = false;   // decoding graph connected (Claim 1 applies)
   std::optional<routing::MemoRoutingEngine> engine;
-  /// Per-kind overflow envelopes for response annotation. Only the
-  /// first-wrap ranks are consumed here, so the value tracks are kept
-  /// at minimal depth — the wrap scan itself is closed-form arithmetic
-  /// and does not move the cold-miss latency budget (bench_service).
-  analysis::AlgorithmEnvelopes envelopes;
+  /// First-wrap ranks of the per-kind overflow envelopes, for response
+  /// annotation. Only these ranks are consumed, so the envelopes'
+  /// value tracks are built at minimal depth — the wrap scan itself is
+  /// closed-form arithmetic and does not move the cold-miss latency
+  /// budget (bench_service).
+  int chain_wrap = 0;
+  int full_wrap = 0;
+  int decode_wrap = 0;
 
   explicit EngineArena(bilinear::BilinearAlgorithm algorithm)
       : alg(std::move(algorithm)),
@@ -86,16 +85,19 @@ struct CertificateService::EngineArena {
     analysis::EnvelopeOptions envelope_options;
     envelope_options.value_kmax = 1;
     envelope_options.stats_value_kmax = 1;
-    envelopes = analysis::compute_envelopes(alg, envelope_options);
+    const analysis::AlgorithmEnvelopes envelopes =
+        analysis::compute_envelopes(alg, envelope_options);
+    chain_wrap = envelopes.first_wrap_for_kind("chain.");
+    full_wrap = envelopes.first_wrap_for_kind("full.");
+    decode_wrap = envelopes.first_wrap_for_kind("decode.");
   }
 
   /// Stamps the kind's envelope onto a successful response.
   void annotate(const Request& request, Response& response) const {
     if (!response.ok || request.kind == CertKind::kSegment) return;
-    const char* prefix = request.kind == CertKind::kChain ? "chain."
-                         : request.kind == CertKind::kFull ? "full."
-                                                           : "decode.";
-    const int wrap = envelopes.first_wrap_for_kind(prefix);
+    const int wrap = request.kind == CertKind::kChain  ? chain_wrap
+                     : request.kind == CertKind::kFull ? full_wrap
+                                                       : decode_wrap;
     response.envelope_wrap_k = static_cast<std::uint32_t>(wrap);
     response.envelope_exact = wrap == 0 || request.k < wrap;
   }
@@ -107,49 +109,61 @@ struct CertificateService::Inflight {
 };
 
 CertificateService::CertificateService(ServiceConfig config)
-    : config_(std::move(config)), store_(config_.store_dir) {}
+    : config_(std::move(config)),
+      store_(config_.store_dir),
+      arenas_(bilinear::catalog_names().size()) {
+  std::vector<std::string> names = bilinear::catalog_names();
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    arenas_[i].name = std::move(names[i]);
+  }
+}
 
 CertificateService::~CertificateService() = default;
 
-std::shared_ptr<const CertificateService::EngineArena>
-CertificateService::arena_for(const std::string& name, std::string* error) {
-  std::lock_guard<std::mutex> lock(arenas_mutex_);
-  const auto it = arenas_.find(name);
-  if (it != arenas_.end()) return it->second;
-  if (!known_algorithm(name)) {
-    *error = "unknown algorithm '" + name + "'";
-    return nullptr;
+const CertificateService::EngineArena* CertificateService::arena_for(
+    const std::string& name, std::string* error) {
+  for (ArenaSlot& slot : arenas_) {
+    if (slot.name != name) continue;
+    if (const EngineArena* arena = slot.arena.load(std::memory_order_acquire)) {
+      return arena;
+    }
+    std::lock_guard<std::mutex> lock(arenas_mutex_);
+    if (slot.owned == nullptr) {
+      const obs::TraceSpan span("service.arena_build");
+      slot.owned = std::make_unique<const EngineArena>(bilinear::by_name(name));
+      slot.arena.store(slot.owned.get(), std::memory_order_release);
+    }
+    return slot.owned.get();
   }
-  const obs::TraceSpan span("service.arena_build");
-  auto arena = std::make_shared<const EngineArena>(bilinear::by_name(name));
-  arenas_.emplace(name, arena);
-  return arena;
+  *error = "unknown algorithm '" + name + "'";
+  return nullptr;
 }
 
 std::string CertificateService::validate(const EngineArena& arena,
                                          const Request& request) const {
+  const int k = request.k;
+  const bool decode_refused =
+      request.kind == CertKind::kDecode && !arena.has_decode;
+  const bool segment_refused =
+      request.kind == CertKind::kSegment && k > config_.segment_max_k;
+  if (k >= 1 && k <= arena.max_rank && !decode_refused && !segment_refused) {
+    return std::string();
+  }
+  // Only a refusal pays for formatting its diagnostic.
   std::ostringstream os;
-  if (request.k < 1) {
-    os << "k must be >= 1 (got " << request.k << ")";
-    return os.str();
-  }
-  if (request.k > arena.max_rank) {
-    os << "k " << request.k << " exceeds the id-space limit " << arena.max_rank
+  if (k < 1) {
+    os << "k must be >= 1 (got " << k << ")";
+  } else if (k > arena.max_rank) {
+    os << "k " << k << " exceeds the id-space limit " << arena.max_rank
        << " for algorithm '" << arena.alg.name() << "'";
-    return os.str();
-  }
-  if (request.kind == CertKind::kDecode && !arena.has_decode) {
+  } else if (decode_refused) {
     os << "algorithm '" << arena.alg.name()
        << "' has a disconnected decoding graph; Claim 1 does not apply";
-    return os.str();
-  }
-  if (request.kind == CertKind::kSegment &&
-      request.k > config_.segment_max_k) {
-    os << "segment certificates build an explicit CDAG; k " << request.k
+  } else {
+    os << "segment certificates build an explicit CDAG; k " << k
        << " exceeds the configured ceiling " << config_.segment_max_k;
-    return os.str();
   }
-  return std::string();
+  return os.str();
 }
 
 Certificate CertificateService::compute(const EngineArena& arena,
@@ -255,10 +269,7 @@ Response CertificateService::finish(const StoreKey& key, Certificate cert,
     if (!report.ok()) {
       static obs::Counter audit_refusals("service.audit_refusals");
       audit_refusals.add();
-      {
-        std::lock_guard<std::mutex> lock(metrics_mutex_);
-        ++metrics_.errors;
-      }
+      totals_.errors.add();
       Response resp;
       resp.error = "service.cert-digest-match: " +
                    report.diagnostics().front().message;
@@ -277,10 +288,7 @@ CertificateService::Admission CertificateService::resolve(
   static obs::Counter obs_requests("service.requests");
   static obs::Counter obs_errors("service.errors");
   obs_requests.add();
-  {
-    std::lock_guard<std::mutex> lock(metrics_mutex_);
-    ++metrics_.requests;
-  }
+  totals_.requests.add();
 
   Admission admission;
   std::string error;
@@ -288,8 +296,7 @@ CertificateService::Admission CertificateService::resolve(
   if (admission.arena != nullptr) error = validate(*admission.arena, request);
   if (!error.empty()) {
     obs_errors.add();
-    std::lock_guard<std::mutex> lock(metrics_mutex_);
-    ++metrics_.errors;
+    totals_.errors.add();
     admission.arena = nullptr;
     admission.response.error = std::move(error);
     return admission;
@@ -306,10 +313,7 @@ void CertificateService::admit(const Request& request, Admission& admission) {
   const StoreKey& key = admission.key;
   const auto answer_hit = [&](Certificate cert) {
     obs_hits.add();
-    {
-      std::lock_guard<std::mutex> lock(metrics_mutex_);
-      ++metrics_.store_hits;
-    }
+    totals_.store_hits.add();
     admission.response = finish(key, std::move(cert), true);
     admission.arena->annotate(request, admission.response);
   };
@@ -326,8 +330,7 @@ void CertificateService::admit(const Request& request, Admission& admission) {
     admission.other = it->second;
     lock.unlock();
     obs_waits.add();
-    std::lock_guard<std::mutex> mlock(metrics_mutex_);
-    ++metrics_.inflight_waits;
+    totals_.inflight_waits.add();
     return;
   }
   // The owner inserts into the store before it leaves inflight_, so
@@ -340,10 +343,8 @@ void CertificateService::admit(const Request& request, Admission& admission) {
   }
   admission.owned = std::make_shared<Inflight>();
   inflight_.emplace(key, admission.owned);
-  std::lock_guard<std::mutex> mlock(metrics_mutex_);
-  metrics_.inflight_peak =
-      std::max(metrics_.inflight_peak,
-               static_cast<std::uint64_t>(inflight_.size()));
+  inflight_peak_ = std::max(inflight_peak_,
+                            static_cast<std::uint64_t>(inflight_.size()));
 }
 
 Response CertificateService::publish(const Request& request,
@@ -352,10 +353,7 @@ Response CertificateService::publish(const Request& request,
   Certificate cert = compute(*admission.arena, request);
   store_.insert(admission.key, cert);
   obs_computed.add();
-  {
-    std::lock_guard<std::mutex> lock(metrics_mutex_);
-    ++metrics_.computed;
-  }
+  totals_.computed.add();
   Response resp = finish(admission.key, std::move(cert), false);
   admission.arena->annotate(request, resp);
   admission.owned->promise.set_value(resp);
@@ -385,11 +383,8 @@ std::vector<Response> CertificateService::serve_batch(
   static obs::Counter obs_batched("service.batched_requests");
   obs_batches.add();
   obs_batched.add(requests.size());
-  {
-    std::lock_guard<std::mutex> lock(metrics_mutex_);
-    ++metrics_.batches;
-    metrics_.batched_requests += requests.size();
-  }
+  totals_.batches.add();
+  totals_.batched_requests.add(requests.size());
 
   // Admission runs serially on the calling thread, first occurrence of
   // each key only, in request order (deterministic).
@@ -433,8 +428,17 @@ std::vector<Response> CertificateService::serve_batch(
 }
 
 ServiceMetrics CertificateService::metrics() const {
-  std::lock_guard<std::mutex> lock(metrics_mutex_);
-  return metrics_;
+  ServiceMetrics m;
+  m.requests = totals_.requests.value();
+  m.store_hits = totals_.store_hits.value();
+  m.computed = totals_.computed.value();
+  m.inflight_waits = totals_.inflight_waits.value();
+  m.batches = totals_.batches.value();
+  m.batched_requests = totals_.batched_requests.value();
+  m.errors = totals_.errors.value();
+  const std::lock_guard<std::mutex> lock(inflight_mutex_);
+  m.inflight_peak = inflight_peak_;
+  return m;
 }
 
 }  // namespace pathrouting::service

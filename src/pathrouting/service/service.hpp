@@ -4,12 +4,16 @@
 // Request path:
 //
 //   serve(request)
-//     -> store lookup (shared-lock index probe, else one read + decode
-//        of the key's file; a hit never touches an engine and is the
-//        latency the service is optimized for)
-//     -> in-flight admission: concurrent requests for the SAME key
-//        coalesce onto one computation (a shared_future); only the
-//        first requester computes
+//     -> arena slot (one acquire load once the algorithm's arena is
+//        built) and store lookup (a lock-free index probe, else one
+//        read + decode of the key's file). A hit never touches an
+//        engine and is the latency the service is optimized for; an
+//        index hit takes no lock and writes no memory another serving
+//        thread writes (totals are obs::ShardedCount stripes).
+//     -> a miss takes the in-flight lock for admission:
+//        concurrent requests for the SAME key coalesce onto one
+//        computation (a shared_future); only the first requester
+//        computes
 //     -> compute on the shared engine arena of the algorithm, insert
 //        into the store, publish.
 //
@@ -27,10 +31,12 @@
 //        tests/test_service.cpp pins under TSan.
 //
 // One EngineArena per algorithm holds the ChainRouter / DecodeRouter /
-// MemoRoutingEngine. Arenas are immutable after construction and the
-// memo engine's canonical cache is concurrent-reader-safe
-// (routing/memo_routing.hpp), so any number of serving threads share
-// one arena without copying CDAGs or tables.
+// MemoRoutingEngine. The service has one slot per catalog algorithm;
+// the first request for an algorithm builds its arena under a mutex
+// and publishes it with a release store. Arenas are immutable after
+// construction and the memo engine's canonical cache is
+// concurrent-reader-safe (routing/memo_routing.hpp), so any number of
+// serving threads share one arena without copying CDAGs or tables.
 //
 // What gets computed per kind (all through the constant-memory
 // implicit view, so cold misses never materialize a CDAG):
@@ -45,15 +51,16 @@
 // translation is the identity.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "pathrouting/obs/obs.hpp"
 #include "pathrouting/service/certificate.hpp"
 #include "pathrouting/service/store.hpp"
 
@@ -101,7 +108,8 @@ struct Response {
 };
 
 /// Monotonic totals since construction (also exported as obs counters
-/// under service.*).
+/// under service.*). Exact once the serving threads have joined; a
+/// read while requests run may be mid-update between two totals.
 struct ServiceMetrics {
   std::uint64_t requests = 0;
   std::uint64_t store_hits = 0;
@@ -140,8 +148,7 @@ class CertificateService {
 
   /// Resolves (and lazily builds) the shared arena for a catalog
   /// algorithm; nullptr + error message for unknown names.
-  std::shared_ptr<const EngineArena> arena_for(const std::string& name,
-                                               std::string* error);
+  const EngineArena* arena_for(const std::string& name, std::string* error);
   /// Validates the request against the arena (k range, kind support)
   /// without computing; empty string = valid.
   std::string validate(const EngineArena& arena, const Request& request) const;
@@ -156,7 +163,7 @@ class CertificateService {
   /// key this caller owns (computes) or another caller is computing.
   struct Admission {
     Response response;
-    std::shared_ptr<const EngineArena> arena;  // null once refused
+    const EngineArena* arena = nullptr;  // null once refused
     StoreKey key;
     std::shared_ptr<Inflight> owned;
     std::shared_ptr<Inflight> other;
@@ -175,14 +182,34 @@ class CertificateService {
   ServiceConfig config_;
   CertificateStore store_;
 
-  mutable std::mutex arenas_mutex_;
-  std::map<std::string, std::shared_ptr<const EngineArena>> arenas_;
+  /// A catalog algorithm's arena, built on first use. `arena` is
+  /// published once with a release store; `owned` is written and read
+  /// only under arenas_mutex_.
+  struct ArenaSlot {
+    std::string name;
+    std::unique_ptr<const EngineArena> owned;
+    std::atomic<const EngineArena*> arena{nullptr};
+  };
+  /// The ServiceMetrics totals but inflight_peak, sharded so that
+  /// concurrent requests write no common cache line.
+  struct Totals {
+    obs::ShardedCount requests;
+    obs::ShardedCount store_hits;
+    obs::ShardedCount computed;
+    obs::ShardedCount inflight_waits;
+    obs::ShardedCount batches;
+    obs::ShardedCount batched_requests;
+    obs::ShardedCount errors;
+  };
+
+  std::mutex arenas_mutex_;  // serializes arena builds
+  std::vector<ArenaSlot> arenas_;  // one per bilinear::catalog_names()
 
   mutable std::mutex inflight_mutex_;
   std::map<StoreKey, std::shared_ptr<Inflight>> inflight_;
+  std::uint64_t inflight_peak_ = 0;  // guarded by inflight_mutex_
 
-  mutable std::mutex metrics_mutex_;
-  ServiceMetrics metrics_;
+  Totals totals_;
 };
 
 }  // namespace pathrouting::service

@@ -43,29 +43,75 @@ CertificateStore::CertificateStore(std::string dir) : dir_(std::move(dir)) {
   }
 }
 
+struct CertificateStore::Node {
+  StoreKey key;
+  Certificate cert;
+  const Node* next = nullptr;
+};
+
+CertificateStore::~CertificateStore() {
+  for (const std::atomic<const Node*>& head : buckets_) {
+    const Node* node = head.load(std::memory_order_relaxed);
+    while (node != nullptr) {
+      const Node* next = node->next;
+      delete node;
+      node = next;
+    }
+  }
+}
+
 std::string CertificateStore::path_of(const StoreKey& key) const {
   return dir_ + "/" + store_file_name(key);
 }
 
+std::size_t CertificateStore::bucket_of(const StoreKey& key) {
+  // Fibonacci hashing: the top bits of the product mix every field.
+  const std::uint64_t fields =
+      key.algorithm_digest ^ (std::uint64_t{key.k} << 40) ^
+      (static_cast<std::uint64_t>(key.kind) << 32) ^ key.engine_version;
+  return static_cast<std::size_t>((fields * 0x9e3779b97f4a7c15ull) >>
+                                  (64 - kBucketBits));
+}
+
+const CertificateStore::Node* CertificateStore::find(
+    const StoreKey& key) const {
+  // The acquire load pairs with publish()'s release store: every node
+  // reachable from the head was built before it was linked.
+  for (const Node* node = buckets_[bucket_of(key)].load(
+           std::memory_order_acquire);
+       node != nullptr; node = node->next) {
+    if (node->key == key) return node;
+  }
+  return nullptr;
+}
+
+std::pair<const CertificateStore::Node*, bool> CertificateStore::publish(
+    const StoreKey& key, Certificate cert) {
+  std::atomic<const Node*>& head = buckets_[bucket_of(key)];
+  const std::lock_guard<std::mutex> lock(write_mutex_);
+  // Under the writer mutex no other thread links a node, so the chain
+  // read here is complete.
+  if (const Node* existing = find(key)) return {existing, false};
+  const Node* node =
+      new Node{key, std::move(cert), head.load(std::memory_order_relaxed)};
+  head.store(node, std::memory_order_release);
+  indexed_.fetch_add(1, std::memory_order_relaxed);
+  return {node, true};
+}
+
 std::optional<Certificate> CertificateStore::find_indexed(
     const StoreKey& key) const {
-  std::shared_lock<std::shared_mutex> lock(mutex_);
-  const auto it = index_.find(key);
-  if (it == index_.end()) return std::nullopt;
-  return it->second;
+  if (const Node* node = find(key)) return node->cert;
+  return std::nullopt;
 }
 
 std::optional<Certificate> CertificateStore::lookup(const StoreKey& key) {
   static obs::Counter index_hits("service.store.index_hits");
   static obs::Counter file_hits("service.store.file_hits");
   static obs::Counter misses("service.store.misses");
-  {
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    const auto it = index_.find(key);
-    if (it != index_.end()) {
-      index_hits.add();
-      return it->second;
-    }
+  if (const Node* node = find(key)) {
+    index_hits.add();
+    return node->cert;
   }
   if (dir_.empty()) {
     misses.add();
@@ -87,8 +133,7 @@ std::optional<Certificate> CertificateStore::lookup(const StoreKey& key) {
     return std::nullopt;
   }
   file_hits.add();
-  std::unique_lock<std::shared_mutex> lock(mutex_);
-  return index_.emplace(key, std::move(cert)).first->second;
+  return publish(key, std::move(cert)).first->cert;
 }
 
 bool CertificateStore::insert(const StoreKey& key, const Certificate& cert) {
@@ -96,10 +141,7 @@ bool CertificateStore::insert(const StoreKey& key, const Certificate& cert) {
                  "certificate inserted under a key it does not address");
   PR_REQUIRE_MSG(cert.payload_digest == support::fnv1a_words(cert.words),
                  "certificate must be sealed before insertion");
-  {
-    std::unique_lock<std::shared_mutex> lock(mutex_);
-    if (!index_.emplace(key, cert).second) return true;  // already stored
-  }
+  if (!publish(key, cert).second) return true;  // already stored
   if (dir_.empty()) return true;
   // Temp file + rename: readers never observe a partial write, and two
   // racing writers of the same key both rename byte-identical bodies.
@@ -125,14 +167,12 @@ bool CertificateStore::insert(const StoreKey& key, const Certificate& cert) {
 }
 
 std::uint64_t CertificateStore::recorded_digest(const StoreKey& key) const {
-  std::shared_lock<std::shared_mutex> lock(mutex_);
-  const auto it = index_.find(key);
-  return it == index_.end() ? 0 : it->second.payload_digest;
+  const Node* node = find(key);
+  return node == nullptr ? 0 : node->cert.payload_digest;
 }
 
 std::size_t CertificateStore::indexed_count() const {
-  std::shared_lock<std::shared_mutex> lock(mutex_);
-  return index_.size();
+  return indexed_.load(std::memory_order_relaxed);
 }
 
 }  // namespace pathrouting::service

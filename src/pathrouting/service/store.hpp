@@ -20,13 +20,27 @@
 // certificate; inserts write through a temp file + rename, so
 // concurrent writers of the SAME key race benignly — both bodies are
 // byte-identical.
+//
+// The index is insert-only: no entry is ever erased or replaced, so it
+// is read without a lock. It is a fixed power-of-two array of buckets,
+// each the head of a chain that grows at the front. A writer builds an
+// entry completely, then, under the one writer mutex, links it in front
+// of its bucket's head and publishes it with a release store; a reader
+// walks the chain from an acquire load of the head. A reader therefore
+// sees each entry either not at all or whole, and an index probe writes
+// no memory another thread reads or writes. The key space is bounded
+// (catalog algorithms x ranks within the 32-bit id space x four kinds,
+// a few hundred keys), so the bucket array never grows.
 #pragma once
 
+#include <array>
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <map>
+#include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <string>
+#include <utility>
 
 #include "pathrouting/bilinear/bilinear.hpp"
 #include "pathrouting/service/certificate.hpp"
@@ -59,6 +73,9 @@ class CertificateStore {
   /// `dir` empty = memory-only store (tests); otherwise the directory
   /// is created if missing and certificate files live directly in it.
   explicit CertificateStore(std::string dir);
+  ~CertificateStore();
+  CertificateStore(const CertificateStore&) = delete;
+  CertificateStore& operator=(const CertificateStore&) = delete;
 
   /// Index hit, else read + decode the key's file. A file that fails
   /// validation (truncated/corrupted/foreign version) or addresses
@@ -68,8 +85,8 @@ class CertificateStore {
   [[nodiscard]] std::optional<Certificate> lookup(const StoreKey& key);
 
   /// Index-only probe: no file access and no hit/miss counters. An
-  /// insert always lands in the index, so this sees every key this
-  /// store has inserted.
+  /// insert always lands in the index, so this sees every key whose
+  /// insert has returned (or otherwise happens-before the probe).
   [[nodiscard]] std::optional<Certificate> find_indexed(
       const StoreKey& key) const;
 
@@ -86,11 +103,23 @@ class CertificateStore {
   [[nodiscard]] std::size_t indexed_count() const;
 
  private:
+  /// An index entry; immutable once published.
+  struct Node;
+  static constexpr int kBucketBits = 10;
+
   [[nodiscard]] std::string path_of(const StoreKey& key) const;
+  [[nodiscard]] static std::size_t bucket_of(const StoreKey& key);
+  /// The published entry for `key`, or null. Takes no lock.
+  [[nodiscard]] const Node* find(const StoreKey& key) const;
+  /// Indexes `cert` under `key` unless an entry exists already; returns
+  /// the entry and whether this call published it.
+  std::pair<const Node*, bool> publish(const StoreKey& key, Certificate cert);
 
   std::string dir_;
-  mutable std::shared_mutex mutex_;
-  std::map<StoreKey, Certificate> index_;
+  std::mutex write_mutex_;  // serializes publish(); readers never take it
+  std::atomic<std::size_t> indexed_{0};
+  std::array<std::atomic<const Node*>, std::size_t{1} << kBucketBits>
+      buckets_{};
 };
 
 }  // namespace pathrouting::service

@@ -12,7 +12,10 @@
 #include <new>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "pathrouting/bilinear/catalog.hpp"
 #include "pathrouting/bounds/schedule_bound.hpp"
@@ -168,6 +171,26 @@ TEST_F(ObsTest, CounterTotalsAreThreadCountInvariant) {
     if (reference == 0) reference = total;
     EXPECT_EQ(total, reference);
   }
+}
+
+TEST_F(ObsTest, CounterTotalIsExactWithMoreThreadsThanStripes) {
+  obs::set_enabled(true);
+  static obs::Counter striped("test.striped");
+  constexpr unsigned kThreads = obs::ShardedCount::kStripes + 1;
+  constexpr std::uint64_t kAdds = 20000;
+  std::vector<std::thread> threads;
+  for (unsigned t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t] {
+      for (std::uint64_t i = 0; i < kAdds; ++i) striped.add();
+      striped.add(t);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  // Two threads share a stripe; their adds must still all land.
+  EXPECT_EQ(counter_value("test.striped"),
+            kThreads * kAdds + kThreads * (kThreads - 1) / 2);
+  obs::reset_counters();
+  EXPECT_EQ(counter_value("test.striped"), 0u);
 }
 
 TEST_F(ObsTest, SnapshotIsNameOrderedAndMergesDuplicates) {
@@ -532,6 +555,33 @@ TEST_F(ObsTest, CountersExportInBenchSchema) {
   EXPECT_TRUE(found);
   // The export itself must re-parse (what pr_bench_gate consumes).
   EXPECT_TRUE(obs::parse_bench_json(file.to_json()).file.has_value());
+}
+
+// pr_search writes its counters to PR_METRICS_OUT, in the same schema
+// pr_bench_gate reads. The point's walk stops at its node budget, so
+// the counter equals the budget.
+TEST(MetricsOut, PrSearchWritesItsCountersWhenAsked) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("pathrouting_test_obs.metrics." + std::to_string(::getpid()) +
+        ".json"))
+          .string();
+  std::filesystem::remove(path);
+  const std::string command = "PR_OBS=1 PR_METRICS_OUT='" + path + "' '" +
+                              PR_SEARCH_BINARY +
+                              "' --alg strassen --r 1 --m 6 --budget 2000"
+                              " > /dev/null";
+  ASSERT_EQ(std::system(command.c_str()), 0) << command;
+  const obs::BenchParseResult loaded = obs::load_bench_file(path);
+  std::filesystem::remove(path);
+  ASSERT_TRUE(loaded.file.has_value()) << loaded.error;
+  std::int64_t expanded = -1;
+  for (const obs::BenchRecord& rec : loaded.file->records) {
+    if (rec.text_or("metric", "") == "search.nodes_expanded") {
+      expanded = rec.int_or("value", -1);
+    }
+  }
+  EXPECT_EQ(expanded, 2000) << "search.nodes_expanded (-1: missing)";
 }
 
 TEST(RecordReader, ReadsPresentFieldsAndNamesTheFirstBadOne) {

@@ -8,6 +8,7 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -265,6 +266,62 @@ TEST(CertificateStore, MemoryOnlyInsertAndLookup) {
   EXPECT_EQ(*hit, cert);
   EXPECT_EQ(store.recorded_digest(key), cert.payload_digest);
   EXPECT_EQ(store.indexed_count(), 1u);
+}
+
+TEST(CertificateStore, LockFreeReadersSeeNothingOrTheWholeCertificate) {
+  // Readers probe every key while two writers insert all of them (each
+  // key twice, racing): a probe sees no entry or the exact certificate.
+  constexpr CertKind kKinds[] = {CertKind::kChain, CertKind::kDecode,
+                                 CertKind::kFull, CertKind::kSegment};
+  std::vector<Certificate> certs;
+  for (std::uint64_t i = 0; i < 256; ++i) {
+    certs.push_back(sample_certificate(kKinds[i % 4], 1000 + i));
+  }
+  service::CertificateStore store("");
+  constexpr int kWriters = 2;
+  constexpr int kReaders = 4;
+  std::atomic<int> ready{0};
+  std::atomic<int> writers_done{0};
+  std::atomic<std::uint64_t> torn{0};
+  // Every thread starts once all have started, so reads overlap writes.
+  const auto start_together = [&ready] {
+    ready.fetch_add(1);
+    while (ready.load() < kWriters + kReaders) std::this_thread::yield();
+  };
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      start_together();
+      for (std::size_t i = 0; i < certs.size(); ++i) {
+        const Certificate& cert =
+            certs[w == 0 ? i : certs.size() - 1 - i];
+        EXPECT_TRUE(store.insert(service::key_of(cert), cert));
+      }
+      writers_done.fetch_add(1);
+    });
+  }
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&] {
+      start_together();
+      // One more full pass after the writers finish.
+      for (bool last = false; !last;) {
+        last = writers_done.load() == kWriters;
+        for (const Certificate& cert : certs) {
+          const service::StoreKey key = service::key_of(cert);
+          const std::optional<Certificate> hit = store.lookup(key);
+          const std::uint64_t digest = store.recorded_digest(key);
+          if ((hit.has_value() && *hit != cert) ||
+              (digest != 0 && digest != cert.payload_digest) ||
+              (last && !hit.has_value())) {
+            torn.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(torn.load(), 0u);
+  EXPECT_EQ(store.indexed_count(), certs.size());
 }
 
 TEST(CertificateStore, PersistsAcrossReopen) {
@@ -600,6 +657,95 @@ TEST(CertificateService, ConcurrentBatchesShareTheStore) {
                 responses[0][i].certificate);  // all batches agree
     }
   }
+}
+
+TEST(CertificateService, ConcurrentFirstTouchBuildsOneArena) {
+  obs::set_enabled(true);
+  obs::clear_spans();
+  service::CertificateService svc(service::ServiceConfig{});
+  const service::Request request{"winograd", 2, CertKind::kChain};
+  constexpr int kThreads = 8;
+  std::vector<service::Response> responses(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      responses[static_cast<std::size_t>(t)] = svc.serve(request);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  int builds = 0;
+  for (const obs::SpanRecord& span : obs::spans_snapshot()) {
+    if (std::string_view(span.name) == "service.arena_build") ++builds;
+  }
+  obs::set_enabled(false);
+  obs::clear_spans();
+  EXPECT_EQ(builds, 1);
+  for (const service::Response& resp : responses) {
+    ASSERT_TRUE(resp.ok) << resp.error;
+    EXPECT_EQ(resp.certificate, responses[0].certificate);
+    EXPECT_EQ(resp.envelope_wrap_k, responses[0].envelope_wrap_k);
+    EXPECT_EQ(resp.envelope_exact, responses[0].envelope_exact);
+  }
+  EXPECT_EQ(svc.metrics().computed, 1u);
+}
+
+TEST(CertificateService, ConcurrentHitsCountExactly) {
+  // More serving threads than obs::ShardedCount stripes. Thread 0 makes
+  // the first request; the others start once a relaxed flag (which
+  // orders nothing) says it was answered, so they reach the arena and
+  // the index entry only through the service's own publication.
+  constexpr int kThreads = 9;
+  constexpr std::uint64_t kHits = 2000;
+  obs::set_enabled(true);
+  obs::reset_counters();
+  service::CertificateService svc(service::ServiceConfig{});
+  const service::Request request{"strassen", 2, CertKind::kChain};
+  std::atomic<bool> answered{false};
+  std::atomic<std::uint64_t> wrong{0};
+  std::vector<Certificate> last(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      if (t == 0) {
+        const service::Response first = svc.serve(request);
+        if (!first.ok || first.from_cache) wrong.fetch_add(1);
+        answered.store(true, std::memory_order_relaxed);
+      }
+      while (!answered.load(std::memory_order_relaxed)) {
+        std::this_thread::yield();
+      }
+      for (std::uint64_t i = 0; i < kHits; ++i) {
+        service::Response resp = svc.serve(request);
+        if (!resp.ok || !resp.from_cache) wrong.fetch_add(1);
+        last[static_cast<std::size_t>(t)] = std::move(resp.certificate);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  const std::vector<obs::CounterValue> counters = obs::counters_snapshot();
+  obs::set_enabled(false);
+  const auto counter = [&](const std::string& name) {
+    for (const obs::CounterValue& c : counters) {
+      if (c.name == name) return c.value;
+    }
+    ADD_FAILURE() << "counter " << name << " not in snapshot";
+    return std::uint64_t{0};
+  };
+  EXPECT_EQ(wrong.load(), 0u);
+  const service::ServiceMetrics m = svc.metrics();
+  const std::uint64_t hits = kThreads * kHits;
+  EXPECT_EQ(m.requests, hits + 1);
+  EXPECT_EQ(m.store_hits, hits);
+  EXPECT_EQ(m.computed, 1u);
+  EXPECT_EQ(m.errors, 0u);
+  EXPECT_EQ(counter("service.requests"), hits + 1);
+  EXPECT_EQ(counter("service.store_hits"), hits);
+  const service::Response fresh =
+      service::CertificateService(service::ServiceConfig{}).serve(request);
+  for (const Certificate& cert : last) EXPECT_EQ(cert, fresh.certificate);
 }
 
 TEST(CertificateService, BatchOverlappingASingleServeFinishes) {

@@ -15,6 +15,7 @@
 #include "pathrouting/audit/audit.hpp"
 #include "pathrouting/bilinear/catalog.hpp"
 #include "pathrouting/cdag/cdag.hpp"
+#include "pathrouting/obs/export.hpp"
 #include "pathrouting/search/sweep.hpp"
 #include "pathrouting/support/cli.hpp"
 #include "pathrouting/support/table.hpp"
@@ -122,6 +123,9 @@ int main(int argc, char** argv) {
   cert.theorem1_b = static_cast<std::uint64_t>(alg.b());
   cert.theorem1_r = spec.r;
   const audit::AuditReport report = audit::audit_search_certificate(cert);
+  // PR_TRACE_OUT / PR_METRICS_OUT (with PR_OBS=1) dump this run's spans
+  // and counters.
+  obs::write_env_outputs("search_metrics", obs::git_commit());
   if (!report.ok()) {
     std::cerr << report.to_text() << "pr_search: certificate audit FAILED\n";
     return EXIT_FAILURE;
