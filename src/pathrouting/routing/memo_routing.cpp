@@ -4,6 +4,7 @@
 #include <mutex>
 
 #include "pathrouting/obs/obs.hpp"
+#include "pathrouting/support/digest.hpp"
 
 namespace pathrouting::routing {
 
@@ -25,16 +26,15 @@ std::vector<std::uint64_t> pow_n0_table(int n0, int k) {
 /// Prefix products P_t[q_1..q_t] = prod_i M[q_i] for t = 0..k; the
 /// level-t table is indexed by the base-b word q_1..q_t.
 std::vector<std::vector<std::uint64_t>> prefix_products(
-    const std::vector<std::uint64_t>& m, int b, int k) {
+    const std::vector<std::uint64_t>& m, int k) {
   std::vector<std::vector<std::uint64_t>> p(static_cast<std::size_t>(k) + 1);
   p[0] = {1};
   for (int t = 1; t <= k; ++t) {
     const auto& prev = p[static_cast<std::size_t>(t) - 1];
     auto& cur = p[static_cast<std::size_t>(t)];
-    cur.resize(prev.size() * static_cast<std::size_t>(b));
-    for (std::size_t qw = 0; qw < cur.size(); ++qw) {
-      cur[qw] = prev[qw / static_cast<std::size_t>(b)] *
-                m[qw % static_cast<std::size_t>(b)];
+    cur.reserve(prev.size() * m.size());
+    for (const std::uint64_t head : prev) {
+      for (const std::uint64_t last : m) cur.push_back(head * last);
     }
   }
   return p;
@@ -195,6 +195,66 @@ MemoRoutingEngine::MemoRoutingEngine(const ChainRouter& router,
   for (const std::uint64_t c : co_) co_sum_ += c;
 }
 
+template <class Sink>
+void MemoRoutingEngine::visit_chain_runs(int k, Sink&& sink) const {
+  const Layout local(alg_.n0(), alg_.b(), k);
+  const auto& pow_a = local.pow_a();
+  const std::vector<std::uint64_t> pow_n0 = pow_n0_table(alg_.n0(), k);
+  const auto pa = prefix_products(m_a_, k);
+  const auto pb = prefix_products(m_b_, k);
+  // Lemma-3 closed form (see header), rank by rank in id order: encA,
+  // encB, then dec. Within a rank a run is one recursion-path word,
+  // constant over its positions.
+  for (const auto* pp : {&pa, &pb}) {
+    for (int t = 0; t <= k; ++t) {
+      const std::uint64_t scale = pow_n0[static_cast<std::size_t>(k - t)];
+      const std::uint64_t length = pow_a(k - t);
+      for (const std::uint64_t p : (*pp)[static_cast<std::size_t>(t)]) {
+        sink(p * scale, length);
+      }
+    }
+  }
+  for (int t = 0; t <= k; ++t) {
+    const auto& qa = pa[static_cast<std::size_t>(k - t)];
+    const auto& qb = pb[static_cast<std::size_t>(k - t)];
+    const std::uint64_t scale = pow_n0[static_cast<std::size_t>(t)];
+    const std::uint64_t length = pow_a(t);
+    for (std::size_t qw = 0; qw < qa.size(); ++qw) {
+      sink((qa[qw] + qb[qw]) * scale, length);
+    }
+  }
+}
+
+template <class Sink>
+void MemoRoutingEngine::visit_decode_runs(int k, Sink&& sink) const {
+  const Layout local(alg_.n0(), alg_.b(), k);
+  const auto& pow_a = local.pow_a();
+  const auto& pow_b = local.pow_b();
+  const std::uint64_t a = static_cast<std::uint64_t>(alg_.a());
+  // Claim-1 closed form (see header). No zig-zag enters the encoding
+  // layers, whose ids all precede dec rank 0. CPint is indexed by the
+  // word's last digit, so each rank walks its words as (head, last).
+  sink(0, local.dec(0, 0, 0));
+  // Rank 0: once per path starting here, plus interior revisits.
+  const std::uint64_t starts = pow_a(k - 1);
+  for (std::uint64_t head = 0; head < pow_b(k - 1); ++head) {
+    for (const std::uint64_t c : cpint_) sink((a + c) * starts, 1);
+  }
+  // Inner ranks: constant over each leading position digit y (CO[y]).
+  for (int t = 1; t < k; ++t) {
+    const std::uint64_t down_scale = pow_b(t) * pow_a(k - t - 1);
+    const std::uint64_t up_scale = pow_b(t - 1) * pow_a(k - t);
+    const std::uint64_t length = pow_a(t - 1);
+    for (std::uint64_t head = 0; head < pow_b(k - t - 1); ++head) {
+      for (const std::uint64_t c : cpint_) {
+        const std::uint64_t down = c * down_scale;
+        for (const std::uint64_t o : co_) sink(down + o * up_scale, length);
+      }
+    }
+  }
+  for (const std::uint64_t o : co_) sink(o * pow_b(k - 1), pow_a(k - 1));
+}
+
 const MemoRoutingEngine::CanonicalCounts& MemoRoutingEngine::canonical(
     int k) const {
   static obs::Counter obs_hits("memo.canonical_cache_hits");
@@ -211,66 +271,21 @@ const MemoRoutingEngine::CanonicalCounts& MemoRoutingEngine::canonical(
   const obs::TraceSpan span("memo.canonical_fill");
 
   auto cc = std::make_unique<CanonicalCounts>();
-  const Layout local(alg_.n0(), alg_.b(), k);
-  const auto& pow_a = local.pow_a();
-  const auto& pow_b = local.pow_b();
-  const std::vector<std::uint64_t> pow_n0 = pow_n0_table(alg_.n0(), k);
-  const std::uint64_t b = static_cast<std::uint64_t>(alg_.b());
-
-  // --- Lemma-3 chain hits, closed form (see header). ---
-  cc->chain_hits.assign(local.num_vertices(), 0);
-  const auto pa = prefix_products(m_a_, alg_.b(), k);
-  const auto pb = prefix_products(m_b_, alg_.b(), k);
-  for (const Side side : {Side::A, Side::B}) {
-    const auto& pp = side == Side::A ? pa : pb;
-    for (int t = 0; t <= k; ++t) {
-      for (std::uint64_t qw = 0; qw < pow_b(t); ++qw) {
-        const std::uint64_t val =
-            pp[static_cast<std::size_t>(t)][qw] *
-            pow_n0[static_cast<std::size_t>(k - t)];
-        const VertexId base = local.enc(side, t, qw, 0);
-        for (std::uint64_t p = 0; p < pow_a(k - t); ++p) {
-          cc->chain_hits[base + p] = val;
-        }
-      }
-    }
-  }
-  for (int t = 0; t <= k; ++t) {
-    for (std::uint64_t qw = 0; qw < pow_b(k - t); ++qw) {
-      const std::uint64_t val =
-          (pa[static_cast<std::size_t>(k - t)][qw] +
-           pb[static_cast<std::size_t>(k - t)][qw]) *
-          pow_n0[static_cast<std::size_t>(t)];
-      const VertexId base = local.dec(t, qw, 0);
-      for (std::uint64_t p = 0; p < pow_a(t); ++p) {
-        cc->chain_hits[base + p] = val;
-      }
-    }
-  }
-
-  // --- Claim-1 decode hits, closed form (see header). ---
+  const std::uint64_t n = Layout(alg_.n0(), alg_.b(), k).num_vertices();
+  std::vector<std::uint64_t>::iterator cursor;
+  const auto fill = [&cursor](std::uint64_t value, std::uint64_t length) {
+    cursor = std::fill_n(cursor, length, value);
+  };
+  cc->chain_hits.resize(n);
+  cursor = cc->chain_hits.begin();
+  visit_chain_runs(k, fill);
+  PR_DCHECK_MSG(cursor == cc->chain_hits.end(), "chain runs must tile G_k");
   if (decoder_.has_value()) {
-    const std::uint64_t a = static_cast<std::uint64_t>(alg_.a());
-    cc->decode_hits.assign(local.num_vertices(), 0);
-    // Rank 0: once per path starting here, plus interior revisits.
-    for (std::uint64_t q = 0; q < pow_b(k); ++q) {
-      cc->decode_hits[local.dec(0, q, 0)] =
-          (a + cpint_[q % b]) * pow_a(k - 1);
-    }
-    for (int t = 1; t < k; ++t) {
-      for (std::uint64_t q = 0; q < pow_b(k - t); ++q) {
-        const std::uint64_t down = cpint_[q % b] * pow_b(t) * pow_a(k - t - 1);
-        const VertexId base = local.dec(t, q, 0);
-        for (std::uint64_t p = 0; p < pow_a(t); ++p) {
-          cc->decode_hits[base + p] =
-              down + co_[p / pow_a(t - 1)] * pow_b(t - 1) * pow_a(k - t);
-        }
-      }
-    }
-    for (std::uint64_t p = 0; p < pow_a(k); ++p) {
-      cc->decode_hits[local.dec(k, 0, p)] =
-          co_[p / pow_a(k - 1)] * pow_b(k - 1);
-    }
+    cc->decode_hits.resize(n);
+    cursor = cc->decode_hits.begin();
+    visit_decode_runs(k, fill);
+    PR_DCHECK_MSG(cursor == cc->decode_hits.end(),
+                  "decode runs must tile G_k");
   }
 
   // The fill above ran outside the lock so concurrent readers of other
@@ -293,6 +308,41 @@ std::span<const std::uint64_t> MemoRoutingEngine::canonical_decode_hit_array(
   PR_REQUIRE_MSG(has_decoder(),
                  "engine was constructed without a DecodeRouter");
   return canonical(k).decode_hits;
+}
+
+template <class Visit>
+std::uint64_t MemoRoutingEngine::hit_digest(std::map<int, std::uint64_t>& memo,
+                                            int k, Visit&& visit) const {
+  {
+    std::shared_lock<std::shared_mutex> lock(mutex_);
+    const auto it = memo.find(k);
+    if (it != memo.end()) return it->second;
+  }
+  std::uint64_t digest = support::kFnv1aOffsetBasis;
+  {
+    const obs::TraceSpan span("memo.hit_digest");
+    visit([&digest](std::uint64_t value, std::uint64_t length) {
+      digest = support::fnv1a_repeat(value, length, digest);
+    });
+  }
+  // Same contract as canonical(): streamed outside the lock, and a
+  // racing thread's (equal) digest for the same k wins.
+  std::unique_lock<std::shared_mutex> lock(mutex_);
+  return memo.emplace(k, digest).first->second;
+}
+
+std::uint64_t MemoRoutingEngine::chain_hit_digest(int k) const {
+  PR_REQUIRE_MSG(k >= 1, "canonical arrays exist for k >= 1");
+  return hit_digest(chain_digests_, k,
+                    [&](auto&& sink) { visit_chain_runs(k, sink); });
+}
+
+std::uint64_t MemoRoutingEngine::decode_hit_digest(int k) const {
+  PR_REQUIRE_MSG(k >= 1, "canonical arrays exist for k >= 1");
+  PR_REQUIRE_MSG(has_decoder(),
+                 "engine was constructed without a DecodeRouter");
+  return hit_digest(decode_digests_, k,
+                    [&](auto&& sink) { visit_decode_runs(k, sink); });
 }
 
 void MemoRoutingEngine::check_view(const cdag::CdagView& view, int k,

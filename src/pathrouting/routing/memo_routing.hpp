@@ -31,11 +31,19 @@
 // materialized CDAG. The brute-force engine's enumerating counters
 // (count_chain_hits, count_decode_hits) remain the oracle it is
 // checked against in tests, benchmarks and the routing.implicit-match
-// audit rule. The canonical per-vertex arrays are still filled from
-// the same closed forms for two jobs: the certificate service digests
-// them, and tests and benches compare them bit for bit with brute.
-// Closed-form hit *totals* double as certificates the audit layer
-// reconciles those arrays against (routing.memo-totals).
+// audit rule.
+//
+// The forms are constant over runs of consecutive ids (a run is one
+// recursion-path word of an encoding or inner decoding rank, or one
+// leading position digit), so the canonical per-vertex arrays are
+// sequences of (value, length) runs in id order. One private visitor
+// per routing walks those runs; two sinks consume them. The FNV-1a
+// hit digests (chain_hit_digest / decode_hit_digest) stream the runs
+// through support::fnv1a_repeat and are what the certificate service
+// serves: no array is built on its path. The arrays themselves
+// (canonical_*_hit_array) serve tests and benches, which compare them
+// bit for bit with brute, and the audit rules, which reconcile them
+// against the closed-form hit *totals* (routing.memo-totals).
 #pragma once
 
 #include <cstdint>
@@ -111,15 +119,22 @@ class MemoRoutingEngine {
   /// The canonical G_k per-vertex hit arrays (local ids of the
   /// standalone canonical layout). On the whole graph G_k the Fact-1
   /// renaming is the identity, so these are bit-identical to
-  /// count_chain_hits / count_decode_hits on sub(G_k, k, 0): the
-  /// certificate service digests them without ever materializing a
-  /// CDAG. The spans stay valid for the engine's lifetime (cache
-  /// entries are never evicted).
+  /// count_chain_hits / count_decode_hits on sub(G_k, k, 0). The spans
+  /// stay valid for the engine's lifetime (cache entries are never
+  /// evicted).
   [[nodiscard]] std::span<const std::uint64_t> canonical_chain_hit_array(
       int k) const;
   /// Requires has_decoder().
   [[nodiscard]] std::span<const std::uint64_t> canonical_decode_hit_array(
       int k) const;
+
+  /// support::fnv1a_words of canonical_chain_hit_array(k) (resp.
+  /// canonical_decode_hit_array(k), which requires has_decoder()) —
+  /// the golden corpus's chain_fnv / decode_fnv — streamed from the
+  /// closed forms run by run, without the array. Memoized per k for
+  /// the engine's lifetime under the canonical cache's contract.
+  [[nodiscard]] std::uint64_t chain_hit_digest(int k) const;
+  [[nodiscard]] std::uint64_t decode_hit_digest(int k) const;
 
  private:
   /// Per-k canonical G_k hit arrays, computed once and cached for the
@@ -128,11 +143,23 @@ class MemoRoutingEngine {
   /// threads may both compute — the fill is deterministic, so the
   /// loser's identical candidate is discarded) and inserts under the
   /// exclusive lock. Entries are heap-allocated and never evicted, so
-  /// returned references remain stable without holding the lock — the
-  /// property the certificate service relies on to serve concurrent
-  /// requests from one shared engine arena.
+  /// returned references remain stable without holding the lock.
   struct CanonicalCounts;
   [[nodiscard]] const CanonicalCounts& canonical(int k) const;
+  /// The canonical G_k chain (resp. decode) hit array as calls
+  /// sink(value, length), one per constant run, covering local ids
+  /// 0 .. num_vertices - 1 in order. The decode visitor opens with one
+  /// zero run for the whole encoding block.
+  template <class Sink>
+  void visit_chain_runs(int k, Sink&& sink) const;
+  template <class Sink>
+  void visit_decode_runs(int k, Sink&& sink) const;
+  /// memo[k], else the FNV-1a digest of the runs `visit` feeds its
+  /// sink, computed outside the lock and published under it (a racing
+  /// duplicate is dropped).
+  template <class Visit>
+  [[nodiscard]] std::uint64_t hit_digest(std::map<int, std::uint64_t>& memo,
+                                         int k, Visit&& visit) const;
   void check_view(const cdag::CdagView& view, int k,
                   std::uint64_t prefix) const;
 
@@ -144,6 +171,7 @@ class MemoRoutingEngine {
   std::uint64_t cpint_sum_ = 0, co_sum_ = 0;
   mutable std::shared_mutex mutex_;
   mutable std::map<int, std::unique_ptr<CanonicalCounts>> cache_;
+  mutable std::map<int, std::uint64_t> chain_digests_, decode_digests_;
 };
 
 }  // namespace pathrouting::routing

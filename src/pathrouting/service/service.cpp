@@ -16,7 +16,6 @@
 #include "pathrouting/obs/obs.hpp"
 #include "pathrouting/routing/memo_routing.hpp"
 #include "pathrouting/schedule/schedules.hpp"
-#include "pathrouting/support/digest.hpp"
 #include "pathrouting/support/parallel.hpp"
 
 namespace pathrouting::service {
@@ -47,6 +46,22 @@ int max_rank_within_ids(const bilinear::BilinearAlgorithm& alg) {
     ++r;
   }
   return r;
+}
+
+/// One span per kind, so a trace splits cold misses by kind. Literals:
+/// obs keeps the name pointer.
+const char* compute_span_name(CertKind kind) {
+  switch (kind) {
+    case CertKind::kChain:
+      return "service.compute.chain";
+    case CertKind::kDecode:
+      return "service.compute.decode";
+    case CertKind::kFull:
+      return "service.compute.full";
+    case CertKind::kSegment:
+      return "service.compute.segment";
+  }
+  PR_UNREACHABLE();
 }
 
 }  // namespace
@@ -168,7 +183,7 @@ std::string CertificateService::validate(const EngineArena& arena,
 
 Certificate CertificateService::compute(const EngineArena& arena,
                                         const Request& request) const {
-  const obs::TraceSpan span("service.compute");
+  const obs::TraceSpan span(compute_span_name(request.kind));
   const int k = request.k;
   Certificate cert;
   cert.engine_version = kEngineVersion;
@@ -194,8 +209,7 @@ Certificate CertificateService::compute(const EngineArena& arena,
       cert.words[kChainL4Exact] =
           engine.verify_chain_multiplicities(view, k, 0) ? 1 : 0;
       if (digestible) {
-        cert.words[kChainHitDigest] =
-            support::fnv1a_words(engine.canonical_chain_hit_array(k));
+        cert.words[kChainHitDigest] = engine.chain_hit_digest(k);
         cert.words[kChainHasHitDigest] = 1;
       }
       break;
@@ -208,8 +222,7 @@ Certificate CertificateService::compute(const EngineArena& arena,
       cert.words[kDecodeBound] = d.bound;
       cert.words[kDecodeArgmax] = d.argmax;
       if (digestible) {
-        cert.words[kDecodeHitDigest] =
-            support::fnv1a_words(engine.canonical_decode_hit_array(k));
+        cert.words[kDecodeHitDigest] = engine.decode_hit_digest(k);
         cert.words[kDecodeHasHitDigest] = 1;
       }
       break;
@@ -226,9 +239,8 @@ Certificate CertificateService::compute(const EngineArena& arena,
       cert.words[kFullRootHitProperty] = t2.root_hit_property ? 1 : 0;
       if (digestible) {
         // Theorem 2 aggregates the chain hit array, so the full-kind
-        // digest pins that same canonical array.
-        cert.words[kFullHitDigest] =
-            support::fnv1a_words(engine.canonical_chain_hit_array(k));
+        // digest pins that same canonical array (one memoized digest).
+        cert.words[kFullHitDigest] = engine.chain_hit_digest(k);
         cert.words[kFullHasHitDigest] = 1;
       }
       break;

@@ -34,7 +34,7 @@
 // MemoRoutingEngine. The service has one slot per catalog algorithm;
 // the first request for an algorithm builds its arena under a mutex
 // and publishes it with a release store. Arenas are immutable after
-// construction and the memo engine's canonical cache is
+// construction and the memo engine's digest memo is
 // concurrent-reader-safe (routing/memo_routing.hpp), so any number of
 // serving threads share one arena without copying CDAGs or tables.
 //
@@ -48,7 +48,11 @@
 // plus, for chain/decode/full below config.digest_max_vertices, the
 // FNV-1a digest of the canonical per-vertex hit array — bit-identical
 // to the golden corpus digests, because for sub(G_k, k, 0) the Fact-1
-// translation is the identity.
+// translation is the identity. The engine streams that digest from
+// the closed forms run by run and memoizes it per (algorithm, k), so
+// no array is built and the chain and full kinds share one digest.
+// Each cold miss runs under a trace span named for its kind
+// (service.compute.chain / .full / .decode / .segment).
 #pragma once
 
 #include <atomic>
@@ -69,12 +73,14 @@ namespace pathrouting::service {
 struct ServiceConfig {
   /// Store directory; empty = memory-only (tests).
   std::string store_dir;
-  /// Materialize + digest canonical hit arrays only while the G_k
-  /// layout stays within this many vertices (two permanent u64 arrays
-  /// per (algorithm, k) are the cost). Above it certificates carry
+  /// Digest the canonical hit arrays only while the G_k layout stays
+  /// within this many vertices; above it certificates carry
   /// has_hit_digest = 0 — the same explicit/implicit cutoff as the
-  /// golden corpus. The default covers the whole golden corpus
-  /// (strassen/winograd k <= 6, laderman k <= 4).
+  /// golden corpus. Part of the certificate format: the streamed
+  /// digest costs time linear in the runs, not memory, but moving the
+  /// cutoff would change which certificates carry a digest. The
+  /// default covers the whole golden corpus (strassen/winograd
+  /// k <= 6, laderman k <= 4).
   std::uint64_t digest_max_vertices = 1u << 20;
   /// Segment certificates build an explicit CDAG + DFS schedule; cap
   /// the rank so a request cannot ask for a 100 GiB build.

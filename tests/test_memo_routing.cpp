@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <fstream>
 #include <numeric>
 #include <optional>
 #include <set>
 #include <span>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "pathrouting/bilinear/analysis.hpp"
@@ -15,6 +19,11 @@
 #include "pathrouting/routing/memo_routing.hpp"
 #include "pathrouting/routing/path_store.hpp"
 #include "pathrouting/routing/routing_point.hpp"
+#include "pathrouting/support/digest.hpp"
+
+#ifndef PR_GOLDEN_DIR
+#error "PR_GOLDEN_DIR must point at the checked-in corpus"
+#endif
 
 namespace {
 
@@ -187,6 +196,110 @@ TEST(MemoRoutingTest, DecodeHitsBitIdenticalToBrute) {
           << name << " k=" << k;
       EXPECT_EQ(engine.expected_num_decode_paths(k), paths);
     }
+  }
+}
+
+// --- Streamed hit digests. ---
+
+/// An engine over `alg`, with the Claim-1 decoder where Claim 1 holds.
+struct DigestEngine {
+  explicit DigestEngine(const bilinear::BilinearAlgorithm& alg)
+      : router(alg) {
+    if (bilinear::decoding_components(alg) == 1) {
+      decoder.emplace(alg);
+      engine.emplace(router, *decoder);
+    } else {
+      engine.emplace(router);
+    }
+  }
+  ChainRouter router;
+  std::optional<DecodeRouter> decoder;
+  std::optional<MemoRoutingEngine> engine;
+};
+
+// The certificate service digests G_k up to this many vertices
+// (service::ServiceConfig::digest_max_vertices).
+constexpr std::uint64_t kDigestMaxVertices = std::uint64_t{1} << 20;
+
+TEST(MemoRoutingTest, StreamedDigestsEqualTheArrayDigestsAcrossCatalog) {
+  int pairs = 0;
+  for (const std::string& name : bilinear::catalog_names()) {
+    const DigestEngine d(bilinear::by_name(name));
+    const bilinear::BilinearAlgorithm& alg = d.engine->algorithm();
+    for (int k = 1;
+         cdag::Layout(alg.n0(), alg.b(), k).num_vertices() <= kDigestMaxVertices;
+         ++k) {
+      EXPECT_EQ(d.engine->chain_hit_digest(k),
+                support::fnv1a_words(d.engine->canonical_chain_hit_array(k)))
+          << name << " k=" << k;
+      if (d.engine->has_decoder()) {
+        EXPECT_EQ(d.engine->decode_hit_digest(k),
+                  support::fnv1a_words(d.engine->canonical_decode_hit_array(k)))
+            << name << " k=" << k;
+      }
+      ++pairs;
+    }
+  }
+  EXPECT_GE(pairs, 30);
+}
+
+TEST(MemoRoutingTest, StreamedDigestsEqualTheGoldenCorpus) {
+  // Every `k <k> ... chain_fnv <d>` / `decode_fnv <d>` line the corpus
+  // pins (tests/golden/<algorithm>.golden).
+  int pinned = 0;
+  for (const char* name : {"strassen", "winograd", "laderman"}) {
+    const DigestEngine d(bilinear::by_name(name));
+    std::ifstream in(std::string(PR_GOLDEN_DIR) + "/" + name + ".golden");
+    ASSERT_TRUE(in) << name;
+    std::string line;
+    while (std::getline(in, line)) {
+      std::istringstream words(line);
+      std::string tag;
+      int k = 0;
+      if (!(words >> tag >> k) || tag != "k") continue;
+      for (std::string field; words >> field;) {
+        std::uint64_t digest = 0;
+        if (field == "chain_fnv" && words >> digest) {
+          EXPECT_EQ(d.engine->chain_hit_digest(k), digest)
+              << name << " k=" << k;
+          ++pinned;
+        } else if (field == "decode_fnv" && words >> digest) {
+          EXPECT_EQ(d.engine->decode_hit_digest(k), digest)
+              << name << " k=" << k;
+          ++pinned;
+        }
+      }
+    }
+  }
+  EXPECT_GE(pinned, 15);
+}
+
+TEST(MemoRoutingTest, ConcurrentFirstTouchDigestsAgree) {
+  // Racing first touches of one k each stream the digest; one is
+  // published and every caller returns it.
+  constexpr int kThreads = 8;
+  constexpr int kRank = 4;
+  const DigestEngine d(bilinear::by_name("strassen"));
+  std::vector<std::uint64_t> chain(kThreads), decode(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      const auto i = static_cast<std::size_t>(t);
+      chain[i] = d.engine->chain_hit_digest(kRank);
+      decode[i] = d.engine->decode_hit_digest(kRank);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  const std::uint64_t want_chain =
+      support::fnv1a_words(d.engine->canonical_chain_hit_array(kRank));
+  const std::uint64_t want_decode =
+      support::fnv1a_words(d.engine->canonical_decode_hit_array(kRank));
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(chain[static_cast<std::size_t>(t)], want_chain) << t;
+    EXPECT_EQ(decode[static_cast<std::size_t>(t)], want_decode) << t;
   }
 }
 

@@ -501,6 +501,48 @@ TEST(CertificateService, DeepRankSkipsTheHitDigest) {
   EXPECT_EQ(resp.certificate.words[service::kChainNumChains], 8192u);
 }
 
+TEST(CertificateService, ColdMissesStreamDigestsWithoutCanonicalArrays) {
+  // The hit digests are streamed from the closed forms: chain, full and
+  // decode misses build no canonical array, and the full kind reuses
+  // the chain kind's memoized digest.
+  obs::set_enabled(true);
+  obs::reset_counters();
+  obs::clear_spans();
+  service::CertificateService svc(service::ServiceConfig{});
+  std::vector<service::Response> responses;
+  for (const CertKind kind :
+       {CertKind::kChain, CertKind::kFull, CertKind::kDecode}) {
+    responses.push_back(svc.serve({"strassen", 3, kind}));
+  }
+  const std::vector<obs::CounterValue> counters = obs::counters_snapshot();
+  int digest_spans = 0;
+  for (const obs::SpanRecord& span : obs::spans_snapshot()) {
+    if (std::string_view(span.name) == "memo.hit_digest") ++digest_spans;
+  }
+  obs::set_enabled(false);
+  obs::clear_spans();
+  for (const service::Response& resp : responses) {
+    ASSERT_TRUE(resp.ok) << resp.error;
+    EXPECT_FALSE(resp.from_cache);
+  }
+  // A counter no code path has touched is absent from the snapshot.
+  const auto counter = [&](const std::string& name) {
+    for (const obs::CounterValue& c : counters) {
+      if (c.name == name) return c.value;
+    }
+    return std::uint64_t{0};
+  };
+  EXPECT_EQ(counter("memo.canonical_cache_misses"), 0u);
+  EXPECT_EQ(counter("memo.canonical_cache_hits"), 0u);
+  EXPECT_EQ(digest_spans, 2);  // chain (shared with full) and decode
+  EXPECT_EQ(responses[0].certificate.words[service::kChainHitDigest],
+            120753706211609557ull);
+  EXPECT_EQ(responses[1].certificate.words[service::kFullHitDigest],
+            120753706211609557ull);
+  EXPECT_EQ(responses[2].certificate.words[service::kDecodeHitDigest],
+            17449365662204533557ull);
+}
+
 TEST(CertificateService, RejectsInvalidRequestsWithDiagnostics) {
   service::CertificateService svc(service::ServiceConfig{});
   const service::Response unknown =

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "pathrouting/support/cli.hpp"
 #include "pathrouting/support/digest.hpp"
@@ -104,6 +106,57 @@ TEST(DigestTest, WordsFeedAsLittleEndianBytes) {
   EXPECT_EQ(support::fnv1a_words(two),
             support::fnv1a_words({&two[1], 1},
                                  support::fnv1a_words({&two[0], 1})));
+}
+
+/// The byte-serial reference: `count` copies of `word`, little-endian,
+/// through fnv1a_bytes from `state`.
+std::uint64_t repeat_bytewise(std::uint64_t word, std::uint64_t count,
+                              std::uint64_t state) {
+  std::vector<unsigned char> bytes;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    for (int b = 0; b < 8; ++b) {
+      bytes.push_back(static_cast<unsigned char>(word >> (8 * b)));
+    }
+  }
+  return support::fnv1a_bytes(bytes.data(), bytes.size(), state);
+}
+
+TEST(DigestTest, RepeatEqualsTheByteSerialFeed) {
+  std::vector<std::uint64_t> words = {0, ~std::uint64_t{0}, 1, 0xff,
+                                      std::uint64_t{0x5a} << 24,
+                                      std::uint64_t{0x80} << 56,
+                                      0x0100000000000001ull};
+  Xoshiro256 rng(26);
+  for (int i = 0; i < 24; ++i) {
+    std::uint64_t w = rng();
+    if (i % 2 == 1) {
+      // Sparse: zero bytes between nonzero ones fold into their
+      // predecessor's multiplier.
+      const std::uint64_t keep = rng();
+      for (int b = 0; b < 8; ++b) {
+        if (((keep >> b) & 1u) == 0) w &= ~(std::uint64_t{0xff} << (8 * b));
+      }
+    }
+    words.push_back(w);
+  }
+  const std::uint64_t counts[] = {0, 1, 2, 3, 17, 1000};
+  const std::uint64_t states[] = {support::kFnv1aOffsetBasis, 0, rng()};
+  for (const std::uint64_t word : words) {
+    for (const std::uint64_t count : counts) {
+      for (const std::uint64_t state : states) {
+        EXPECT_EQ(support::fnv1a_repeat(word, count, state),
+                  repeat_bytewise(word, count, state))
+            << "word " << word << " count " << count << " state " << state;
+      }
+    }
+  }
+  // Chained runs digest like their concatenation, and the default state
+  // is the offset basis.
+  const std::vector<std::uint64_t> runs = {7, 7, 7, 0, 0, words.back()};
+  EXPECT_EQ(support::fnv1a_repeat(
+                words.back(), 1,
+                support::fnv1a_repeat(0, 2, support::fnv1a_repeat(7, 3))),
+            support::fnv1a_words(runs));
 }
 
 TEST(PowTableTest, PowersAndDigits) {

@@ -20,6 +20,7 @@
 //
 // The CI smoke test drives exactly this loop: replay a small trace,
 // assert cached=1 appears once a key repeats. Exits 0 on quit/EOF.
+#include <climits>
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -100,6 +101,10 @@ int main(int argc, char** argv) {
   cli.finish(
       "Serve routing certificates over stdin/stdout (see "
       "service/protocol.hpp for the grammar).");
+  if (segment_max_k < 0 || segment_max_k > INT_MAX) {
+    cli.fail("--segment-max-k must be in [0, " + std::to_string(INT_MAX) +
+             "], got " + std::to_string(segment_max_k));
+  }
 
   service::ServiceConfig config;
   config.store_dir = store;
